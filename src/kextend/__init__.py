@@ -59,7 +59,6 @@ from .extendibility import (
 )
 from .verifier import (
     CorpusSpec,
-    PropertyOutcome,
     Report,
     PROPERTY_IDS,
     generate_corpus,

@@ -20,17 +20,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import Any, Iterator, Optional, TextIO
 
 from . import __version__
-from .connectivity import vertex_connectivity
-from .extendibility import extendibility_number, is_k_extendible
 from .graphs import (
     Bipartition,
     Graph,
     GraphParseError,
-    bipartition,
-    is_connected,
     min_degree,
     parse_edge_list,
     parse_graph6,
@@ -43,10 +40,10 @@ from .jsonio import (
     cut_witness_json,
     odd_cycle_json,
 )
-from .matching import has_perfect_matching, matching_number
 from .verifier import (
     PROPERTY_IDS,
     CorpusSpec,
+    GraphFacts,
     generate_corpus,
     report_json,
     run_corpus,
@@ -58,33 +55,26 @@ USAGE_ERROR = 2
 def analysis_record(g: Graph, kmax: int) -> dict[str, Any]:
     """All analyze fields, each re-derivable from the corresponding library
     call on the same graph."""
+    facts = GraphFacts(g)
     record: dict[str, Any] = {
         "graph6": to_graph6(g) if g.n <= 62 else None,
         "n": g.n,
         "edge_count": g.edge_count,
-        "connected": is_connected(g),
+        "connected": facts.connected,
     }
-    bp = bipartition(g)
-    if isinstance(bp, Bipartition):
-        record["bipartite"] = True
-        record["bipartition"] = bipartition_json(bp)
-        record["odd_cycle"] = None
-    else:
-        record["bipartite"] = False
-        record["bipartition"] = None
-        record["odd_cycle"] = odd_cycle_json(bp)
+    bp = facts.bipartition
+    bipartite = isinstance(bp, Bipartition)
+    record["bipartite"] = bipartite
+    record["bipartition"] = bipartition_json(bp) if bipartite else None
+    record["odd_cycle"] = None if bipartite else odd_cycle_json(bp)
     record["min_degree"] = min_degree(g) if g.n else None
-    record["matching_number"] = matching_number(g)
-    record["has_perfect_matching"] = has_perfect_matching(g)
-    if g.n:
-        kappa, witness = vertex_connectivity(g)
-        record["vertex_connectivity"] = kappa
-        record["cut_witness"] = cut_witness_json(witness)
-    else:
-        record["vertex_connectivity"] = None
-        record["cut_witness"] = None
-    record["extendibility_number"] = extendibility_number(g)
-    record["certificates"] = [certificate_json(is_k_extendible(g, k))
+    record["matching_number"] = facts.matching_number
+    record["has_perfect_matching"] = facts.perfect
+    kappa, witness = facts.connectivity if g.n else (None, None)
+    record["vertex_connectivity"] = kappa
+    record["cut_witness"] = cut_witness_json(witness)
+    record["extendibility_number"] = facts.extendibility_number
+    record["certificates"] = [certificate_json(facts.certificate(k))
                               for k in range(kmax + 1)]
     return record
 
@@ -104,23 +94,31 @@ def _read_graphs(handle: TextIO, fmt: str) -> Iterator[Graph]:
         yield parse_edge_list(handle.read())
 
 
-def _open_input(path: str) -> TextIO:
+@contextmanager
+def _open_input(path: str) -> Iterator[TextIO]:
     if path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="ascii")
+        yield sys.stdin
+    else:
+        with open(path, "r", encoding="ascii") as handle:
+            yield handle
+
+
+def _input_error(command: str, path: str, exc: Exception) -> int:
+    reason = getattr(exc, "strerror", None) or exc
+    print(f"kextend {command}: {path}: {reason}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    handle = _open_input(args.input)
     try:
-        for g in _read_graphs(handle, args.format):
-            print(json.dumps(analysis_record(g, args.kmax)))
+        with _open_input(args.input) as handle:
+            for g in _read_graphs(handle, args.format):
+                print(json.dumps(analysis_record(g, args.kmax)))
     except GraphParseError as exc:
         print(f"kextend analyze: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
+    except (OSError, UnicodeDecodeError) as exc:
+        return _input_error("analyze", args.input, exc)
     return 0
 
 
@@ -178,15 +176,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    handle = _open_input(args.input)
     try:
-        graphs = list(_read_graphs(handle, args.src))
+        with _open_input(args.input) as handle:
+            graphs = list(_read_graphs(handle, args.src))
     except GraphParseError as exc:
         print(f"kextend convert: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
+    except (OSError, UnicodeDecodeError) as exc:
+        return _input_error("convert", args.input, exc)
     try:
         if args.dst == "g6":
             for g in graphs:

@@ -67,7 +67,8 @@ def vertex_connectivity(g: Graph) -> tuple[int, Optional[CutWitness]]:
                     len(cut) == len(best) and cut < best):
                 best = cut
                 best_pair = (u, v)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no pair cut in a connected non-complete graph")
     return len(best), CutWitness(best, best_pair)
 
 
@@ -137,5 +138,6 @@ def _pair_cut(g: Graph, s: int, t: int,
                 queue.append(b)
     cut = tuple(v for v in range(g.n)
                 if v not in (s, t) and reachable[2 * v] and not reachable[2 * v + 1])
-    assert len(cut) == flow
+    if len(cut) != flow:
+        raise RuntimeError(f"cut size {len(cut)} differs from flow {flow}")
     return cut

@@ -17,9 +17,8 @@ differentially tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from .graphs import (
     Bipartition,
@@ -78,17 +77,31 @@ class HallViolator:
 def is_k_extendible(g: Graph, k: int) -> ExtendibilityCertificate:
     if k < 0:
         raise ValueError("extendibility level must be nonnegative")
-    return _certificate(g, k)
+    return _certificate(g, k, lambda: is_connected(g),
+                        lambda: has_perfect_matching(g))
 
 
-@lru_cache(maxsize=1 << 15)
-def _certificate(g: Graph, k: int) -> ExtendibilityCertificate:
+def _unmet_precondition(g: Graph, k: int, connected: Callable[[], bool],
+                        perfect: Callable[[], bool]
+                        ) -> Optional[ExtendibilityCertificate]:
+    """The no-certificate for the first failed condition among size,
+    connectivity and perfect matching, in that order, else None.  The last
+    two are asked on demand, so a caller may answer from facts it holds."""
     if g.n < 2 * k + 2:
         return ExtendibilityCertificate(False, k, reason=SIZE_TOO_SMALL)
-    if not is_connected(g):
+    if not connected():
         return ExtendibilityCertificate(False, k, reason=DISCONNECTED)
-    if not has_perfect_matching(g):
+    if not perfect():
         return ExtendibilityCertificate(False, k, reason=NO_PERFECT_MATCHING)
+    return None
+
+
+def _certificate(g: Graph, k: int, connected: Callable[[], bool],
+                 perfect: Callable[[], bool]) -> ExtendibilityCertificate:
+    """Definitional certificate at level k >= 0; see _unmet_precondition."""
+    failed = _unmet_precondition(g, k, connected, perfect)
+    if failed is not None:
+        return failed
     exhibit: list[tuple[Matching, Matching]] = []
     for m in enumerate_matchings(g, k):
         extension = extends_to_perfect(g, m)
@@ -106,7 +119,7 @@ def extendibility_number(g: Graph) -> Optional[int]:
     checked outright; levels beyond it fail on size alone, so monotonicity
     is never assumed."""
     passing = [k for k in range((g.n - 2) // 2 + 1)
-               if _certificate(g, k).verdict]
+               if is_k_extendible(g, k).verdict]
     return max(passing) if passing else None
 
 
@@ -139,12 +152,10 @@ def is_k_extendible_bipartite(g: Graph, bp: Bipartition,
     _check_balanced(g, bp)
     if k < 1:
         raise ValueError("extendibility level must be at least 1 here")
-    if g.n < 2 * k + 2:
-        return ExtendibilityCertificate(False, k, reason=SIZE_TOO_SMALL)
-    if not is_connected(g):
-        return ExtendibilityCertificate(False, k, reason=DISCONNECTED)
-    if not has_perfect_matching(g):
-        return ExtendibilityCertificate(False, k, reason=NO_PERFECT_MATCHING)
+    failed = _unmet_precondition(g, k, lambda: is_connected(g),
+                                 lambda: has_perfect_matching(g))
+    if failed is not None:
+        return failed
     violator = hall_surplus_check(g, bp, k)
     if violator is None:
         return ExtendibilityCertificate(True, k)

@@ -6,6 +6,10 @@ payloads in the original graph's labels.  Since every property checked
 here is a theorem, any violation on any corpus is an implementation bug;
 the harness is a differential test of the whole stack.
 
+Each graph is evaluated once, through one GraphFacts that computes every
+per-graph fact at most once; the properties are pure functions of it,
+listed in the PROPERTIES table.
+
 Corpora come in three modes: exhaustive (all labeled graphs on n <= 7
 vertices, in increasing order of the upper-triangle edge code), random
 (independent G(n, p) draws from the SplitMix64 stream, one draw per
@@ -15,25 +19,27 @@ line).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from multiprocessing import Pool
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .connectivity import is_k_connected, vertex_connectivity
+from .connectivity import CutWitness, vertex_connectivity
 from .extendibility import (
+    ExtendibilityCertificate,
+    _certificate,
     hall_surplus_check,
     is_k_extendible,
-    extendibility_number,
     peel,
 )
 from .graphs import (
     Bipartition,
     Graph,
     GraphParseError,
+    OddCycle,
     bipartition,
     from_edges,
     is_connected,
@@ -47,34 +53,13 @@ from .jsonio import (
     hall_violator_json,
     matching_json,
 )
-from .matching import (
-    Matching,
-    has_perfect_matching,
-    koenig_ore_deficiency,
-    matching_number,
-)
+from .matching import Matching, koenig_ore_deficiency, matching_number
 from .oracles import brute_force_deficiency
 from .rng import SplitMix64
 
 HOLDS = "holds"
 VIOLATED = "violated"
 INAPPLICABLE = "inapplicable"
-
-PROPERTY_IDS = ("P21", "P22", "P23", "T31", "T32", "KO", "MONO-EXT")
-
-PROPERTY_DESCRIPTIONS = {
-    "P21": "k-extendible implies (k-1)-extendible",
-    "P22": "1-extendible implies 2-connected",
-    "P23": "peeling an edge from a k-extendible graph (k >= 2) leaves a "
-           "(k-1)-extendible graph",
-    "T31": "k-extendible implies (k+1)-connected",
-    "T32": "definitional and Hall-surplus verdicts agree on balanced "
-           "bipartite graphs",
-    "KO": "matching number equals |X| minus the maximum deficiency, with "
-          "attaining witness",
-    "MONO-EXT": "levels passing the extendibility check form a prefix "
-                "ending at the extendibility number, within (n-2)/2",
-}
 
 ZERO_EXTENDIBLE_NOTE = ("0-extendible is taken to mean: at least 2 vertices, "
                         "connected, and a perfect matching exists")
@@ -91,15 +76,6 @@ class CorpusSpec:
     edge_probability: float = 0.5
     source: Optional[str] = None
     strict: bool = True
-
-
-@dataclass(frozen=True)
-class PropertyOutcome:
-    property_id: str
-    graph_index: int
-    graph6: Optional[str]
-    status: str
-    detail: Optional[dict[str, Any]] = None
 
 
 @dataclass(frozen=True)
@@ -153,7 +129,8 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
         for _ in range(spec.count):
             yield random_graph(spec.n, rng, spec.edge_probability)
     else:
-        assert spec.source is not None
+        if spec.source is None:
+            raise ValueError("external mode needs a source path")
         with open(spec.source, "r", encoding="ascii") as handle:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()
@@ -169,161 +146,199 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
                     continue
 
 
-def _echo(g: Graph) -> Optional[str]:
-    return to_graph6(g) if g.n <= 62 else None
+class GraphFacts:
+    """What the properties ask about one graph, each fact computed at most
+    once, on first use.  Each equals its one-shot library call on the same
+    graph: ``perfect`` is has_perfect_matching and ``connectivity`` is
+    vertex_connectivity."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self._certificates: dict[int, ExtendibilityCertificate] = {}
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    @cached_property
+    def matching_number(self) -> int:
+        return matching_number(self.g)
+
+    @cached_property
+    def perfect(self) -> bool:
+        return 2 * self.matching_number == self.g.n
+
+    @cached_property
+    def bipartition(self) -> Bipartition | OddCycle:
+        return bipartition(self.g)
+
+    @cached_property
+    def connectivity(self) -> tuple[int, Optional[CutWitness]]:
+        return vertex_connectivity(self.g)
+
+    def is_k_connected(self, k: int) -> bool:
+        return self.g.n >= k + 1 and self.connectivity[0] >= k
+
+    def certificate(self, k: int) -> ExtendibilityCertificate:
+        cert = self._certificates.get(k)
+        if cert is None:
+            cert = _certificate(self.g, k, lambda: self.connected,
+                                lambda: self.perfect)
+            self._certificates[k] = cert
+        return cert
+
+    @cached_property
+    def extendibility_number(self) -> Optional[int]:
+        passing = [k for k in range((self.g.n - 2) // 2 + 1)
+                   if self.certificate(k).verdict]
+        return max(passing) if passing else None
 
 
-def _outcome(pid: str, g: Graph, status: str,
-             detail: Optional[dict[str, Any]] = None) -> PropertyOutcome:
-    return PropertyOutcome(pid, -1, _echo(g), status, detail)
+# (status, detail) of one property on one graph
+Outcome = tuple[str, Optional[dict[str, Any]]]
+# (graph6 if any property is violated, [(property, status, detail), ...])
+TaskResult = tuple[Optional[str], list[tuple[str, str, Any]]]
 
 
-def verify_monotonicity(g: Graph, kmax: int) -> PropertyOutcome:
+def _extendible_levels(facts: GraphFacts, first: int, kmax: int) -> list[int]:
+    return [k for k in range(first, kmax + 1) if facts.certificate(k).verdict]
+
+
+def _no_extendible_level(first: int, kmax: int) -> Outcome:
+    return INAPPLICABLE, {
+        "reason": f"not k-extendible for any k in {first}..{kmax}"}
+
+
+def _monotonicity(facts: GraphFacts, kmax: int) -> Outcome:
     """P21: whenever the graph is k-extendible for some 1 <= k <= kmax, it
     must be (k-1)-extendible too."""
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    applicable = False
-    for k in range(1, kmax + 1):
-        cert = is_k_extendible(g, k)
-        if not cert.verdict:
-            continue
-        applicable = True
-        prev = is_k_extendible(g, k - 1)
+    levels = _extendible_levels(facts, 1, kmax)
+    if not levels:
+        return _no_extendible_level(1, kmax)
+    for k in levels:
+        prev = facts.certificate(k - 1)
         if not prev.verdict:
-            return _outcome("P21", g, VIOLATED, {
+            return VIOLATED, {
                 "k": k,
-                "certificate": certificate_json(cert),
+                "certificate": certificate_json(facts.certificate(k)),
                 "lower_certificate": certificate_json(prev),
-            })
-    if not applicable:
-        return _outcome("P21", g, INAPPLICABLE,
-                        {"reason": f"not k-extendible for any k in 1..{kmax}"})
-    return _outcome("P21", g, HOLDS)
+            }
+    return HOLDS, None
 
 
-def verify_one_ext_two_conn(g: Graph) -> PropertyOutcome:
+def _one_ext_two_conn(facts: GraphFacts, kmax: int) -> Outcome:
     """P22: a 1-extendible graph must be 2-connected."""
-    cert = is_k_extendible(g, 1)
-    if not cert.verdict:
-        return _outcome("P22", g, INAPPLICABLE,
-                        {"reason": "not 1-extendible"})
-    if is_k_connected(g, 2):
-        return _outcome("P22", g, HOLDS)
-    kappa, witness = vertex_connectivity(g)
-    return _outcome("P22", g, VIOLATED, {
+    if not facts.certificate(1).verdict:
+        return INAPPLICABLE, {"reason": "not 1-extendible"}
+    if facts.is_k_connected(2):
+        return HOLDS, None
+    kappa, witness = facts.connectivity
+    return VIOLATED, {
         "connectivity": kappa,
         "cut_witness": cut_witness_json(witness),
-    })
+    }
 
 
-def verify_peeling(g: Graph, k: int) -> PropertyOutcome:
-    """P23 at one level: if the graph is k-extendible (k >= 2), removing
+def _peeling(facts: GraphFacts, kmax: int) -> Outcome:
+    """P23: if the graph is k-extendible for some 2 <= k <= kmax, removing
     both endpoints of any edge leaves a (k-1)-extendible graph."""
-    if k < 2:
-        raise ValueError("peeling property needs k >= 2")
-    cert = is_k_extendible(g, k)
-    if not cert.verdict:
-        return _outcome("P23", g, INAPPLICABLE,
-                        {"reason": f"not {k}-extendible"})
-    for edge in g.edges():
-        peeled, relabel = peel(g, edge)
-        sub = is_k_extendible(peeled, k - 1)
-        if not sub.verdict:
+    if kmax < 2:
+        return INAPPLICABLE, {"reason": "kmax below 2"}
+    levels = _extendible_levels(facts, 2, kmax)
+    if not levels:
+        return _no_extendible_level(2, kmax)
+    g = facts.g
+    for k in levels:
+        for edge in g.edges():
+            peeled, relabel = peel(g, edge)
+            sub = is_k_extendible(peeled, k - 1)
+            if sub.verdict:
+                continue
             back = {new: old for old, new in relabel.items()}
             witness = None
             if sub.witness is not None:
                 witness = matching_json(Matching.of(
                     (back[u], back[v]) for u, v in sub.witness.edges))
-            return _outcome("P23", g, VIOLATED, {
+            return VIOLATED, {
                 "k": k,
                 "edge": list(edge),
                 "peeled_reason": sub.reason,
                 "peeled_witness_original_labels": witness,
-            })
-    return _outcome("P23", g, HOLDS)
+            }
+    return HOLDS, None
 
 
-def verify_connectivity_bound(g: Graph, kmax: int) -> PropertyOutcome:
+def _connectivity_bound(facts: GraphFacts, kmax: int) -> Outcome:
     """T31: a k-extendible graph must be (k+1)-connected, 1 <= k <= kmax."""
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    applicable = False
-    for k in range(1, kmax + 1):
-        if not is_k_extendible(g, k).verdict:
-            continue
-        applicable = True
-        if not is_k_connected(g, k + 1):
-            kappa, witness = vertex_connectivity(g)
-            return _outcome("T31", g, VIOLATED, {
+    levels = _extendible_levels(facts, 1, kmax)
+    if not levels:
+        return _no_extendible_level(1, kmax)
+    for k in levels:
+        if not facts.is_k_connected(k + 1):
+            kappa, witness = facts.connectivity
+            return VIOLATED, {
                 "k": k,
                 "connectivity": kappa,
                 "cut_witness": cut_witness_json(witness),
-            })
-    if not applicable:
-        return _outcome("T31", g, INAPPLICABLE,
-                        {"reason": f"not k-extendible for any k in 1..{kmax}"})
-    return _outcome("T31", g, HOLDS)
+            }
+    return HOLDS, None
 
 
-def verify_bipartite_characterization(g: Graph, kmax: int) -> PropertyOutcome:
+def _bipartite_characterization(facts: GraphFacts, kmax: int) -> Outcome:
     """T32: on connected balanced bipartite graphs with a perfect matching,
     the definitional verdict equals the Hall-surplus verdict at every level
     k <= kmax admitted by the size hypothesis."""
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    if not is_connected(g):
-        return _outcome("T32", g, INAPPLICABLE, {"reason": "not connected"})
-    bp = bipartition(g)
+    if not facts.connected:
+        return INAPPLICABLE, {"reason": "not connected"}
+    bp = facts.bipartition
     if not isinstance(bp, Bipartition):
-        return _outcome("T32", g, INAPPLICABLE, {"reason": "not bipartite"})
+        return INAPPLICABLE, {"reason": "not bipartite"}
     if len(bp.x) != len(bp.y):
-        return _outcome("T32", g, INAPPLICABLE,
-                        {"reason": "bipartition is unbalanced"})
-    if not has_perfect_matching(g):
-        return _outcome("T32", g, INAPPLICABLE,
-                        {"reason": "no perfect matching"})
+        return INAPPLICABLE, {"reason": "bipartition is unbalanced"}
+    if not facts.perfect:
+        return INAPPLICABLE, {"reason": "no perfect matching"}
+    g = facts.g
     applicable = False
     for k in range(1, kmax + 1):
         if g.n < 2 * k + 2:
             continue
         applicable = True
-        cert = is_k_extendible(g, k)
+        cert = facts.certificate(k)
         violator = hall_surplus_check(g, bp, k)
         if cert.verdict != (violator is None):
-            return _outcome("T32", g, VIOLATED, {
+            return VIOLATED, {
                 "k": k,
                 "definitional": certificate_json(cert),
                 "hall_violator": hall_violator_json(violator)
                 if violator else None,
-            })
+            }
     if not applicable:
-        return _outcome("T32", g, INAPPLICABLE,
-                        {"reason": f"fewer than 2k+2 vertices for every "
-                                   f"k in 1..{kmax}"})
-    return _outcome("T32", g, HOLDS)
+        return INAPPLICABLE, {"reason": f"fewer than 2k+2 vertices for every "
+                                        f"k in 1..{kmax}"}
+    return HOLDS, None
 
 
-def verify_koenig_ore(g: Graph) -> PropertyOutcome:
+def _koenig_ore(facts: GraphFacts, kmax: int) -> Outcome:
     """KO: the matching number equals |X| minus the maximum deficiency over
     subsets of X, and the polynomial witness attains that maximum."""
-    bp = bipartition(g)
+    bp = facts.bipartition
     if not isinstance(bp, Bipartition):
-        return _outcome("KO", g, INAPPLICABLE, {"reason": "not bipartite"})
+        return INAPPLICABLE, {"reason": "not bipartite"}
+    g = facts.g
     oracle_value = brute_force_deficiency(g, bp)
     witness = koenig_ore_deficiency(g, bp)
-    alpha = matching_number(g)
+    alpha = facts.matching_number
     attained = witness_deficiency(g, witness.witness)
     if (alpha != len(bp.x) - oracle_value or witness.value != oracle_value
             or attained != witness.value):
-        return _outcome("KO", g, VIOLATED, {
+        return VIOLATED, {
             "matching_number": alpha,
             "x_size": len(bp.x),
             "oracle_max_deficiency": oracle_value,
             "witness": deficiency_json(witness),
             "witness_attains": attained,
-        })
-    return _outcome("KO", g, HOLDS)
+        }
+    return HOLDS, None
 
 
 def witness_deficiency(g: Graph, s: tuple[int, ...]) -> int:
@@ -333,74 +348,46 @@ def witness_deficiency(g: Graph, s: tuple[int, ...]) -> int:
     return len(s) - nbhd.bit_count()
 
 
-def verify_extendibility_profile(g: Graph) -> PropertyOutcome:
+def _extendibility_profile(facts: GraphFacts, kmax: int) -> Outcome:
     """MONO-EXT: the passing levels form the prefix 0..ext within the size
     bound (n-2)/2."""
-    ext = extendibility_number(g)
+    ext = facts.extendibility_number
     if ext is None:
-        return _outcome("MONO-EXT", g, INAPPLICABLE,
-                        {"reason": "not 0-extendible"})
-    bound = (g.n - 2) // 2
+        return INAPPLICABLE, {"reason": "not 0-extendible"}
+    bound = (facts.g.n - 2) // 2
     if ext > bound:
-        return _outcome("MONO-EXT", g, VIOLATED,
-                        {"extendibility_number": ext, "size_bound": bound})
+        return VIOLATED, {"extendibility_number": ext, "size_bound": bound}
     for k in range(bound + 1):
-        if is_k_extendible(g, k).verdict != (k <= ext):
-            return _outcome("MONO-EXT", g, VIOLATED, {
+        cert = facts.certificate(k)
+        if cert.verdict != (k <= ext):
+            return VIOLATED, {
                 "extendibility_number": ext,
                 "k": k,
-                "certificate": certificate_json(is_k_extendible(g, k)),
-            })
-    return _outcome("MONO-EXT", g, HOLDS)
+                "certificate": certificate_json(cert),
+            }
+    return HOLDS, None
 
 
-def _verify_graph(g: Graph, properties: tuple[str, ...],
-                  kmax: int) -> list[PropertyOutcome]:
-    out: list[PropertyOutcome] = []
-    for pid in properties:
-        if pid == "P21":
-            out.append(verify_monotonicity(g, kmax))
-        elif pid == "P22":
-            out.append(verify_one_ext_two_conn(g))
-        elif pid == "P23":
-            out.append(_peeling_over_levels(g, kmax))
-        elif pid == "T31":
-            out.append(verify_connectivity_bound(g, kmax))
-        elif pid == "T32":
-            out.append(verify_bipartite_characterization(g, kmax))
-        elif pid == "KO":
-            out.append(verify_koenig_ore(g))
-        elif pid == "MONO-EXT":
-            out.append(verify_extendibility_profile(g))
-        else:
-            raise ValueError(f"unknown property id {pid!r}")
-    return out
+# one pure function per property, in canonical report order
+PROPERTIES: dict[str, Callable[[GraphFacts, int], Outcome]] = {
+    "P21": _monotonicity,
+    "P22": _one_ext_two_conn,
+    "P23": _peeling,
+    "T31": _connectivity_bound,
+    "T32": _bipartite_characterization,
+    "KO": _koenig_ore,
+    "MONO-EXT": _extendibility_profile,
+}
+PROPERTY_IDS = tuple(PROPERTIES)
 
 
-def _peeling_over_levels(g: Graph, kmax: int) -> PropertyOutcome:
-    """Fold verify_peeling over k in 2..kmax into one outcome: violated if
-    any level is, holds if any level applied cleanly, else inapplicable."""
-    if kmax < 2:
-        return _outcome("P23", g, INAPPLICABLE,
-                        {"reason": "kmax below 2"})
-    held = False
-    for k in range(2, kmax + 1):
-        outcome = verify_peeling(g, k)
-        if outcome.status == VIOLATED:
-            return outcome
-        if outcome.status == HOLDS:
-            held = True
-    if held:
-        return _outcome("P23", g, HOLDS)
-    return _outcome("P23", g, INAPPLICABLE,
-                    {"reason": f"not k-extendible for any k in 2..{kmax}"})
-
-
-def _task(args: tuple[int, Graph, tuple[str, ...], int]
-          ) -> tuple[int, list[PropertyOutcome]]:
-    index, g, properties, kmax = args
-    outcomes = _verify_graph(g, properties, kmax)
-    return index, [dataclasses.replace(o, graph_index=index) for o in outcomes]
+def _task(args: tuple[Graph, tuple[str, ...], int]) -> TaskResult:
+    """Evaluate one graph through one GraphFacts."""
+    g, properties, kmax = args
+    facts = GraphFacts(g)
+    outcomes = [(pid, *PROPERTIES[pid](facts, kmax)) for pid in properties]
+    violated = any(status == VIOLATED for _, status, _ in outcomes)
+    return (to_graph6(g) if violated and g.n <= 62 else None), outcomes
 
 
 def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
@@ -422,8 +409,7 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
                for pid in selected}
     violations: list[dict[str, Any]] = []
     processed = 0
-    tasks = ((i, g, selected, kmax)
-             for i, g in enumerate(generate_corpus(spec)))
+    tasks = ((g, selected, kmax) for g in generate_corpus(spec))
     if workers > 1:
         with Pool(workers) as pool:
             results: Iterable = pool.imap(_task, tasks, chunksize=64)
@@ -446,21 +432,22 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
     )
 
 
-def _fold(results: Iterable[tuple[int, list[PropertyOutcome]]],
-          tallies: dict[str, dict[str, int]],
+def _fold(results: Iterable[TaskResult], tallies: dict[str, dict[str, int]],
           violations: list[dict[str, Any]]) -> int:
+    """Tally task results in corpus order; a graph's index is its position
+    in ``results``.  Returns the number of graphs."""
     processed = 0
-    for _, outcomes in results:
-        processed += 1
-        for o in outcomes:
-            tallies[o.property_id][o.status] += 1
-            if o.status == VIOLATED:
+    for graph6, outcomes in results:
+        for pid, status, detail in outcomes:
+            tallies[pid][status] += 1
+            if status == VIOLATED:
                 violations.append({
-                    "property": o.property_id,
-                    "graph_index": o.graph_index,
-                    "graph6": o.graph6,
-                    "payload": o.detail,
+                    "property": pid,
+                    "graph_index": processed,
+                    "graph6": graph6,
+                    "payload": detail,
                 })
+        processed += 1
     return processed
 
 

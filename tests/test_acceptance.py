@@ -17,6 +17,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import kextend
 import kextend.cli as cli
 from conftest import (
     exhaustive_graphs,
@@ -269,9 +270,14 @@ def test_criterion_7_named_instances():
 def test_criterion_8_determinism_across_runs_and_workers(tmp_path):
     argv = [sys.executable, "-m", "kextend.cli", "verify",
             "--random", "10", "500", "7"]
+    # the child runs in tmp_path, so a relative PYTHONPATH would not reach
+    # the package; put its absolute source directory first
+    src = str(Path(kextend.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = []
     for workers in ("1", "1", "8"):
-        env = dict(os.environ, KEXTEND_WORKERS=workers)
+        env = dict(os.environ, KEXTEND_WORKERS=workers, PYTHONPATH=pythonpath)
         proc = subprocess.run(argv, capture_output=True, env=env,
                               cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr.decode()

@@ -72,6 +72,23 @@ class TestAnalyze:
         record = json.loads(out)
         assert record["graph6"] == to_graph6(cycle_graph(4))
 
+    def test_missing_file_exits_2_with_path(self, capsys, monkeypatch,
+                                            tmp_path):
+        path = str(tmp_path / "absent.g6")
+        code, out, err = run_cli(capsys, monkeypatch, ["analyze", path])
+        assert code == 2 and out == ""
+        assert err == f"kextend analyze: {path}: No such file or directory\n"
+
+    def test_non_ascii_byte_exits_2_with_path(self, capsys, monkeypatch,
+                                              tmp_path):
+        path = tmp_path / "latin.g6"
+        path.write_bytes(b"A_\nB\xe9\n")
+        code, _, err = run_cli(capsys, monkeypatch, ["analyze", str(path)])
+        assert code == 2
+        assert err.startswith(f"kextend analyze: {path}: ")
+        assert "can't decode byte 0xe9" in err
+        assert len(err.splitlines()) == 1
+
     def test_schema_on_varied_graphs(self, capsys, monkeypatch):
         stdin = "\n".join(["?", "A?", "A_", "Bw", "Cl", "D?{",
                            to_graph6(cycle_graph(7))]) + "\n"
@@ -204,6 +221,26 @@ class TestConvert:
             capsys, monkeypatch,
             ["convert", "--from", "g6", "--to", "edges"], stdin="A\x07\n")
         assert code == 2 and "63..126" in err
+
+    def test_missing_file_exits_2_with_path(self, capsys, monkeypatch,
+                                            tmp_path):
+        path = str(tmp_path / "absent.g6")
+        code, out, err = run_cli(
+            capsys, monkeypatch,
+            ["convert", "--from", "g6", "--to", "edges", path])
+        assert code == 2 and out == ""
+        assert err == f"kextend convert: {path}: No such file or directory\n"
+
+    def test_non_ascii_byte_exits_2_with_path(self, capsys, monkeypatch,
+                                              tmp_path):
+        path = tmp_path / "latin.g6"
+        path.write_bytes(b"\xff\n")
+        code, out, err = run_cli(
+            capsys, monkeypatch,
+            ["convert", "--from", "g6", "--to", "g6", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"kextend convert: {path}: ")
+        assert "can't decode byte 0xff" in err
 
     def test_round_trip_identity(self, capsys, monkeypatch):
         lines = [to_graph6(cycle_graph(n)) for n in range(3, 9)]

@@ -2,32 +2,43 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import exhaustive_graphs
 from kextend import (
     CorpusSpec,
     GraphParseError,
+    bipartition,
     cycle_graph,
+    extendibility_number,
     from_edges,
     generate_corpus,
+    has_perfect_matching,
+    is_connected,
+    is_k_connected,
+    is_k_extendible,
+    matching_number,
     path_graph,
     run_corpus,
     to_graph6,
+    vertex_connectivity,
 )
+from kextend.jsonio import certificate_json, cut_witness_json
+from kextend.rng import SplitMix64
 from kextend.verifier import (
     HOLDS,
     INAPPLICABLE,
+    PROPERTIES,
     PROPERTY_IDS,
     VIOLATED,
-    PropertyOutcome,
+    GraphFacts,
     _fold,
+    _task,
     report_json,
-    verify_bipartite_characterization,
-    verify_connectivity_bound,
-    verify_extendibility_profile,
-    verify_koenig_ore,
-    verify_monotonicity,
-    verify_one_ext_two_conn,
-    verify_peeling,
 )
+
+
+def check(pid, g, kmax=1):
+    """(status, detail) of one property table entry on a fresh graph."""
+    return PROPERTIES[pid](GraphFacts(g), kmax)
 
 
 class TestGenerateCorpus:
@@ -74,47 +85,105 @@ class TestGenerateCorpus:
 
 
 class TestPropertyChecks:
+    def test_table_order_is_canonical(self):
+        assert tuple(PROPERTIES) == PROPERTY_IDS == (
+            "P21", "P22", "P23", "T31", "T32", "KO", "MONO-EXT")
+
     def test_monotonicity(self, c4, k33, k13):
-        assert verify_monotonicity(c4, 2).status == HOLDS
-        assert verify_monotonicity(k13, 2).status == INAPPLICABLE
-        assert verify_monotonicity(k33, 3).status == HOLDS
+        assert check("P21", c4, 2)[0] == HOLDS
+        assert check("P21", k13, 2)[0] == INAPPLICABLE
+        assert check("P21", k33, 3)[0] == HOLDS
 
     def test_one_ext_two_conn(self, c4, c6, p4):
-        assert verify_one_ext_two_conn(c6).status == HOLDS
-        assert verify_one_ext_two_conn(p4).status == INAPPLICABLE
-        assert verify_one_ext_two_conn(c4).status == HOLDS
+        assert check("P22", c6)[0] == HOLDS
+        assert check("P22", p4)[0] == INAPPLICABLE
+        assert check("P22", c4)[0] == HOLDS
 
     def test_peeling(self, k33, k44, c8):
-        assert verify_peeling(k33, 2).status == HOLDS
-        assert verify_peeling(c8, 2).status == INAPPLICABLE
-        assert verify_peeling(k44, 2).status == HOLDS
-        with pytest.raises(ValueError):
-            verify_peeling(k33, 1)
+        assert check("P23", k33, 2)[0] == HOLDS
+        assert check("P23", c8, 2)[0] == INAPPLICABLE
+        assert check("P23", k44, 2)[0] == HOLDS
+        assert check("P23", k33, 1) == (INAPPLICABLE,
+                                        {"reason": "kmax below 2"})
 
     def test_connectivity_bound(self, k33, c6, p4):
-        assert verify_connectivity_bound(k33, 2).status == HOLDS
-        assert verify_connectivity_bound(c6, 1).status == HOLDS
-        assert verify_connectivity_bound(p4, 3).status == INAPPLICABLE
+        assert check("T31", k33, 2)[0] == HOLDS
+        assert check("T31", c6, 1)[0] == HOLDS
+        assert check("T31", p4, 3)[0] == INAPPLICABLE
 
     def test_bipartite_characterization(self, c8, k44):
-        assert verify_bipartite_characterization(c8, 2).status == HOLDS
-        assert verify_bipartite_characterization(k44, 3).status == HOLDS
+        assert check("T32", c8, 2)[0] == HOLDS
+        assert check("T32", k44, 3)[0] == HOLDS
         split = from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
                                (5, 0), (6, 7)])
-        out = verify_bipartite_characterization(split, 2)
-        assert out.status == INAPPLICABLE
-        assert out.detail == {"reason": "not connected"}
+        status, detail = check("T32", split, 2)
+        assert status == INAPPLICABLE
+        assert detail == {"reason": "not connected"}
 
     def test_koenig_ore(self, k13, c6):
-        assert verify_koenig_ore(k13).status == HOLDS
-        assert verify_koenig_ore(c6).status == HOLDS
-        assert verify_koenig_ore(cycle_graph(3)).status == INAPPLICABLE
+        assert check("KO", k13)[0] == HOLDS
+        assert check("KO", c6)[0] == HOLDS
+        assert check("KO", cycle_graph(3))[0] == INAPPLICABLE
 
     def test_extendibility_profile(self, c4, p4):
-        assert verify_extendibility_profile(c4).status == HOLDS
-        assert verify_extendibility_profile(p4).status == HOLDS
-        assert verify_extendibility_profile(
-            path_graph(3)).status == INAPPLICABLE
+        assert check("MONO-EXT", c4)[0] == HOLDS
+        assert check("MONO-EXT", p4)[0] == HOLDS
+        assert check("MONO-EXT", path_graph(3))[0] == INAPPLICABLE
+
+
+class TestGraphFacts:
+    def test_each_fact_equals_its_library_call(self):
+        """Differential check over every graph on at most 5 vertices."""
+        for n in range(6):
+            for g in exhaustive_graphs(n):
+                facts = GraphFacts(g)
+                for k in range(4):
+                    assert (certificate_json(facts.certificate(k))
+                            == certificate_json(is_k_extendible(g, k)))
+                assert facts.extendibility_number == extendibility_number(g)
+                if n:
+                    kappa, witness = vertex_connectivity(g)
+                    assert facts.connectivity[0] == kappa
+                    assert (cut_witness_json(facts.connectivity[1])
+                            == cut_witness_json(witness))
+                for k in range(n + 2):
+                    assert facts.is_k_connected(k) == is_k_connected(g, k)
+                assert facts.connected == is_connected(g)
+                assert facts.matching_number == matching_number(g)
+                assert facts.perfect == has_perfect_matching(g)
+                assert facts.bipartition == bipartition(g)
+
+    def test_certificates_are_memoized_per_instance(self, k33):
+        facts = GraphFacts(k33)
+        assert facts.certificate(2) is facts.certificate(2)
+        assert GraphFacts(k33).certificate(2) is not facts.certificate(2)
+
+
+def _relabeled(g, rng):
+    """g under a uniformly drawn vertex permutation (Fisher-Yates)."""
+    perm = list(range(g.n))
+    for i in range(g.n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+
+
+class TestLabelInvariance:
+    @pytest.mark.parametrize("spec", [
+        CorpusSpec(mode="exhaustive", n=5),
+        CorpusSpec(mode="random", n=9, count=60, seed=97),
+    ])
+    def test_relabeled_corpus_gives_same_tallies(self, spec, tmp_path):
+        rng = SplitMix64(2024)
+        path = tmp_path / "relabeled.g6"
+        path.write_text("".join(to_graph6(_relabeled(g, rng)) + "\n"
+                                for g in generate_corpus(spec)))
+        original = run_corpus(spec, PROPERTY_IDS, kmax=3)
+        relabeled = run_corpus(CorpusSpec(mode="external", source=str(path)),
+                               PROPERTY_IDS, kmax=3)
+        assert relabeled.graphs_processed == original.graphs_processed
+        assert relabeled.properties == original.properties
+        assert original.violations == relabeled.violations == ()
 
 
 class TestRunCorpus:
@@ -166,14 +235,13 @@ class TestRunCorpus:
 
 class TestViolationPlumbing:
     def test_fold_collects_payloads(self):
-        outcomes = [
-            (0, [PropertyOutcome("P21", 0, "Cl", HOLDS)]),
-            (1, [PropertyOutcome("P21", 1, "Ch", VIOLATED,
-                                 {"k": 1, "certificate": {}})]),
+        results = [
+            (None, [("P21", HOLDS, None)]),
+            ("Ch", [("P21", VIOLATED, {"k": 1, "certificate": {}})]),
         ]
         tallies = {"P21": {HOLDS: 0, VIOLATED: 0, INAPPLICABLE: 0}}
         violations: list = []
-        assert _fold(iter(outcomes), tallies, violations) == 2
+        assert _fold(iter(results), tallies, violations) == 2
         assert tallies["P21"] == {HOLDS: 1, VIOLATED: 1, INAPPLICABLE: 0}
         assert violations == [{
             "property": "P21",
@@ -181,3 +249,28 @@ class TestViolationPlumbing:
             "graph6": "Ch",
             "payload": {"k": 1, "certificate": {}},
         }]
+
+    def test_task_to_fold_carries_index_and_graph6(self, monkeypatch):
+        single_edge = from_edges(3, [(0, 1)])
+
+        def fake_ko(facts, kmax):
+            if facts.g == single_edge:
+                return VIOLATED, {"planted": True}
+            return HOLDS, None
+
+        monkeypatch.setitem(PROPERTIES, "KO", fake_ko)
+        spec = CorpusSpec(mode="exhaustive", n=3)
+        results = [_task((g, ("P22", "KO"), 1))
+                   for g in generate_corpus(spec)]
+        # exhaustive order: edge code 1 is the single edge (0, 1)
+        assert [graph6 for graph6, _ in results] == (
+            [None, to_graph6(single_edge)] + [None] * 6)
+        report = run_corpus(spec, ("P22", "KO"), kmax=1, workers=1)
+        assert report.violations == ({
+            "property": "KO",
+            "graph_index": 1,
+            "graph6": to_graph6(single_edge),
+            "payload": {"planted": True},
+        },)
+        assert report.properties["KO"] == {HOLDS: 7, VIOLATED: 1,
+                                           INAPPLICABLE: 0}
