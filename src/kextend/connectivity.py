@@ -1,16 +1,15 @@
 """Vertex connectivity with cut witnesses.
 
 Pairwise minimum vertex cuts come from unit-capacity max-flow on the
-split-vertex digraph: vertex v becomes nodes 2v (in) and 2v+1 (out)
-joined by a capacity-1 arc, and each undirected edge becomes two opposite
-arcs of effectively unbounded capacity.  The source-side residual cut is
-the canonical witness; everything scans in ascending order, so results
-are deterministic.
+split-vertex digraph, kept implicit: node 2v is v's in-side, 2v+1 its
+out-side, and ``pred[v]`` is the vertex whose path enters v, or -1 while v
+is free.  The source-side residual cut, read off the last, failed search,
+is the same for every maximum flow, so it is the canonical witness: the
+minimum separator closest to the source.  Pairs scan in ascending order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,38 +83,40 @@ def is_k_connected(g: Graph, k: int) -> bool:
 
 def _pair_cut(g: Graph, s: int, t: int,
               limit: int | None = None) -> tuple[int, ...] | None:
-    """Source-side minimum s-t vertex cut via augmenting BFS on the split
-    digraph.  With ``limit``, gives up (returns None) once the flow value
-    reaches it, since such a cut cannot improve on the current best."""
-    n2 = 2 * g.n
-    inf = g.n + 1
-    # arcs: in(v)=2v, out(v)=2v+1; adjacency and capacity as dense lists
-    arcs_to: list[list[int]] = [[] for _ in range(n2)]
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(a: int, b: int, c: int) -> None:
-        arcs_to[a].append(b)
-        arcs_to[b].append(a)
-        cap[(a, b)] = c
-        cap[(b, a)] = 0
-
-    for v in range(g.n):
-        add(2 * v, 2 * v + 1, inf if v in (s, t) else 1)
-    for a, b in g.edges():
-        add(2 * a + 1, 2 * b, inf)
-        add(2 * b + 1, 2 * a, inf)
+    """Source-side minimum s-t vertex cut for distinct non-adjacent s, t,
+    by augmenting BFS on the implicit split digraph.  With ``limit``, gives
+    up (returns None) once the flow value reaches it, since such a cut
+    cannot improve on the current best."""
+    pred = [-1] * g.n
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while True:
         if limit is not None and flow >= limit:
             return None
-        parent = [-1] * n2
+        parent = [-1] * (2 * g.n)
         parent[source] = source
-        queue = deque([source])
-        while queue:
-            a = queue.popleft()
-            for b in arcs_to[a]:
-                if parent[b] == -1 and cap[(a, b)] > 0:
+        seen_in = 0
+        queue = [source]
+        for a in queue:
+            v = a >> 1
+            if a & 1:  # to every neighbour's in-side, own in-side if used
+                if pred[v] != -1 and not seen_in >> v & 1:
+                    seen_in |= 1 << v
+                    parent[a - 1] = a
+                    queue.append(a - 1)
+                fresh = g.adj[v] & ~seen_in
+                seen_in |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    b = 2 * low.bit_length() - 2
+                    parent[b] = a
+                    queue.append(b)
+                if parent[sink] != -1:
+                    break
+            else:  # to own out-side if free, else back along pred
+                b = a + 1 if pred[v] == -1 else 2 * pred[v] + 1
+                if parent[b] == -1:
                     parent[b] = a
                     queue.append(b)
         if parent[sink] == -1:
@@ -123,21 +124,15 @@ def _pair_cut(g: Graph, s: int, t: int,
         b = sink
         while b != source:
             a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
+            if a >> 1 != b >> 1:  # an edge arc: forward sets, backward clears
+                if a & 1:
+                    pred[b >> 1] = a >> 1
+                else:
+                    pred[a >> 1] = -1
             b = a
         flow += 1
-    reachable = [False] * n2
-    reachable[source] = True
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for b in arcs_to[a]:
-            if not reachable[b] and cap[(a, b)] > 0:
-                reachable[b] = True
-                queue.append(b)
-    cut = tuple(v for v in range(g.n)
-                if v not in (s, t) and reachable[2 * v] and not reachable[2 * v + 1])
+    cut = tuple(v for v in range(g.n) if v not in (s, t)
+                and parent[2 * v] != -1 and parent[2 * v + 1] == -1)
     if len(cut) != flow:
         raise RuntimeError(f"cut size {len(cut)} differs from flow {flow}")
     return cut

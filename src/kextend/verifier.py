@@ -131,7 +131,8 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
     else:
         if spec.source is None:
             raise ValueError("external mode needs a source path")
-        with open(spec.source, "r", encoding="ascii") as handle:
+        with open(spec.source, "r", encoding="ascii",
+                  errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()
                 if not stripped:

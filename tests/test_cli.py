@@ -184,6 +184,23 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["graphs_processed"] == 2
 
+    def test_external_non_ascii_line_strict_vs_lenient(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("KEXTEND_WORKERS", "1")
+        src = tmp_path / "latin.g6"
+        src.write_bytes(b"Cl\nCh\xe9\nCh\n")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["verify", "--input", str(src),
+                                  "--properties", "KO"])
+        assert code == 2 and out == ""
+        assert err == (f"kextend verify: {src}:2: "
+                       "non-ascii byte in graph6 string\n")
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["verify", "--input", str(src), "--no-strict",
+                                "--properties", "KO"])
+        assert code == 0
+        assert json.loads(out)["graphs_processed"] == 2
+
 
 class TestGen:
     def test_exhaustive_3_has_8_lines(self, capsys, monkeypatch):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,6 +18,7 @@ from kextend import (
     min_vertex_cut,
     vertex_connectivity,
 )
+from kextend.connectivity import _pair_cut
 from kextend.oracles import brute_force_vertex_connectivity
 from kextend.rng import SplitMix64
 
@@ -130,7 +134,6 @@ def _same_component(g, pair):
 
 
 def _brute_force_separator_size(g, u, v) -> int:
-    from itertools import combinations
     others = [w for w in range(g.n) if w not in (u, v)]
     for size in range(len(others) + 1):
         for cut in combinations(others, size):
@@ -139,3 +142,80 @@ def _brute_force_separator_size(g, u, v) -> int:
                        for c in components(sub)):
                 return size
     raise AssertionError("no separator found")
+
+
+class TestCanonicalWitness:
+    """The witness rule, pinned by brute force rather than by any flow: a
+    pair's cut is its minimum separator closest to the first vertex."""
+
+    def test_pair_cut_is_closest_min_separator(self):
+        for g, u, v in _pairs():
+            kappa, closest = _closest_min_separator(g, u, v)
+            assert min_vertex_cut(g, u, v).cut == closest
+            for limit in range(1, 5):
+                got = _pair_cut(g, u, v, limit=limit)
+                assert got == (None if kappa >= limit else closest)
+
+    def test_vertex_connectivity_takes_least_pair_cut(self):
+        for g in _witness_graphs():
+            kappa, witness = vertex_connectivity(g)
+            if witness is None or len(components(g)) > 1:
+                continue
+            cuts = [(_closest_min_separator(g, u, v)[1], (u, v))
+                    for u, v in _non_adjacent_pairs(g)]
+            cut = min((len(c), c) for c, _ in cuts)[1]
+            pair = next(p for c, p in cuts if c == cut)
+            assert (kappa, witness.cut, witness.separated) == \
+                (len(cut), cut, pair)
+
+
+def _witness_graphs():
+    for n in range(2, 6):
+        yield from exhaustive_graphs(n)
+    rng = SplitMix64(2718)
+    for trial in range(16):
+        yield seeded_random_graph(7 + trial % 2, rng, p=0.4 + trial % 3 / 10)
+
+
+def _non_adjacent_pairs(g):
+    return [(u, v) for u, v in combinations(range(g.n), 2)
+            if not g.has_edge(u, v)]
+
+
+def _pairs():
+    for g in _witness_graphs():
+        for u, v in _non_adjacent_pairs(g):
+            yield g, u, v
+            yield g, v, u
+
+
+@lru_cache(maxsize=None)
+def _closest_min_separator(g, u, v) -> tuple[int, tuple[int, ...]]:
+    """Local connectivity of u and v and the minimum u-v separator whose
+    u-side component lies inside that of every other minimum separator."""
+    others = [w for w in range(g.n) if w not in (u, v)]
+    for size in range(len(others) + 1):
+        sides = {}
+        for cut in combinations(others, size):
+            side = _side(g, u, sum(1 << w for w in cut))
+            if not side >> v & 1:
+                sides[cut] = side
+        if sides:
+            closest = [cut for cut, side in sides.items()
+                       if all(side & ~other == 0 for other in sides.values())]
+            assert len(closest) == 1
+            return size, closest[0]
+    raise AssertionError("no separator found")
+
+
+def _side(g, u, removed: int) -> int:
+    """Vertex mask of u's component once the ``removed`` mask is deleted."""
+    seen = frontier = 1 << u
+    while frontier:
+        reach = 0
+        for w in range(g.n):
+            if frontier >> w & 1:
+                reach |= g.adj[w]
+        frontier = reach & ~seen & ~removed
+        seen |= frontier
+    return seen
