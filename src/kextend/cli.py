@@ -158,6 +158,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = run_corpus(_corpus_spec(args), properties, kmax=args.kmax,
                             workers=_workers())
     except (GraphParseError, ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and args.input is not None:
+            return _input_error("verify", args.input, exc)
         print(f"kextend verify: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(json.dumps(report_json(report, include_timing=args.timing),
@@ -222,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--random", type=int, nargs=3,
                       metavar=("N", "COUNT", "SEED"))
     mode.add_argument("--input", metavar="FILE",
-                      help="graph6 stream, one graph per line")
+                      help="graph6 stream, one graph per line ('-' for "
+                           "stdin)")
     p_verify.add_argument("--properties", default="all",
                           help="comma-separated ids (default: all of "
                                f"{','.join(PROPERTY_IDS)})")

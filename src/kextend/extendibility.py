@@ -7,6 +7,14 @@ fixed order and reports the first failure, so reason codes are
 deterministic; the 0-extendible case reduces to the first three conditions
 because the only size-0 matching is empty.
 
+Whether a matching M extends depends only on V(M), the vertices it
+covers, so a level is decided once per covered vertex set: each new set is
+tested from one perfect matching of the graph, keeping its edges that
+avoid the set and augmenting from the at most 2k vertices left exposed.
+The walk over size-k matchings stays lexicographic, so the blocked
+witness is the least blocked matching; the exhibited extensions come from
+extends_to_perfect, as a direct call on the same matching gives them.
+
 For balanced bipartite graphs the same verdict follows from a surplus
 condition on one side: |N(A)| >= |A| + k for every nonempty A within X of
 size at most |X| - k.  The subset scan here is intentionally exponential;
@@ -34,6 +42,9 @@ from .graphs import (
 )
 from .matching import (
     Matching,
+    _mask_maximum_matching,
+    _perfect_after_removing,
+    _walk_matchings,
     enumerate_matchings,
     extends_to_perfect,
     has_perfect_matching,
@@ -102,14 +113,22 @@ def _certificate(g: Graph, k: int, connected: Callable[[], bool],
     failed = _unmet_precondition(g, k, connected, perfect)
     if failed is not None:
         return failed
+    # covered mask -> extends; at k = 0 the precondition has already found
+    # a perfect matching, so the empty cover needs no base
+    extends = {0: True}
+    base = _mask_maximum_matching(g.adj, g.n, (1 << g.n) - 1) if k else None
     exhibit: list[tuple[Matching, Matching]] = []
-    for m in enumerate_matchings(g, k):
-        extension = extends_to_perfect(g, m)
-        if extension is None:
+    for covered, edges in _walk_matchings(g, k):
+        ok = extends.get(covered)
+        if ok is None:
+            ok = extends[covered] = _perfect_after_removing(g.adj, g.n,
+                                                            covered, base)
+        if not ok:
             return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
-                                            witness=m)
+                                            witness=Matching(edges))
         if len(exhibit) < EXHIBIT_LIMIT:
-            exhibit.append((m, extension))
+            m = Matching(edges)
+            exhibit.append((m, extends_to_perfect(g, m)))
     return ExtendibilityCertificate(True, k, exhibit=tuple(exhibit))
 
 

@@ -286,17 +286,53 @@ def extends_to_perfect(g: Graph, m: Matching) -> Optional[Matching]:
     return Matching.of(list(m.edges) + rest)
 
 
-def enumerate_matchings(g: Graph, k: int) -> Iterator[Matching]:
-    """All matchings of size exactly k, each once, in lexicographic order
-    of their canonical edge lists.  k=0 yields only the empty matching."""
-    if k < 0:
-        raise ValueError("matching size must be nonnegative")
+def _perfect_after_removing(adj: tuple[int, ...], n: int, removed: int,
+                            base: list[int]) -> bool:
+    """Whether the graph minus the vertices in ``removed`` has a perfect
+    matching, given ``base``, the match array of a perfect matching of the
+    whole graph.  The base edges that avoid ``removed`` stay; the at most
+    |removed| vertices they leave exposed are paired greedily, and each one
+    left over roots one augmenting-path search.  A root with no augmenting
+    path stays exposed in some maximum matching, so the answer is then no;
+    an odd remainder is answered at once."""
+    if removed.bit_count() % 2:
+        return False
+    match = list(base)
+    free = 0
+    for v in bits(removed):
+        match[v] = match[base[v]] = -1
+        free |= 1 << base[v]
+    free &= ~removed
+    mask = ((1 << n) - 1) & ~removed
+    while free:
+        low = free & -free
+        free ^= low
+        root = low.bit_length() - 1
+        partners = adj[root] & free
+        if partners:
+            low = partners & -partners
+            free ^= low
+            partner = low.bit_length() - 1
+            match[root] = partner
+            match[partner] = root
+            continue
+        path = _augmenting_path_from(adj, n, mask, match, root)
+        if path is None:
+            return False
+        _flip(match, path)
+        free &= ~(1 << path[0])
+    return True
+
+
+def _walk_matchings(g: Graph, k: int) -> Iterator[tuple[int, tuple[Edge, ...]]]:
+    """``(covered mask, canonical edges)`` of every matching of size exactly
+    k, in lexicographic order of the edge lists."""
     edges = list(g.edges())
 
-    def extend(start: int, used: int,
-               chosen: list[Edge]) -> Iterator[Matching]:
+    def extend(start: int, used: int, chosen: list[Edge]
+               ) -> Iterator[tuple[int, tuple[Edge, ...]]]:
         if len(chosen) == k:
-            yield Matching(tuple(chosen))
+            yield used, tuple(chosen)
             return
         room = k - len(chosen)
         for i in range(start, len(edges) - room + 1):
@@ -309,6 +345,15 @@ def enumerate_matchings(g: Graph, k: int) -> Iterator[Matching]:
             chosen.pop()
 
     yield from extend(0, 0, [])
+
+
+def enumerate_matchings(g: Graph, k: int) -> Iterator[Matching]:
+    """All matchings of size exactly k, each once, in lexicographic order
+    of their canonical edge lists.  k=0 yields only the empty matching."""
+    if k < 0:
+        raise ValueError("matching size must be nonnegative")
+    for _, edges in _walk_matchings(g, k):
+        yield Matching(edges)
 
 
 def koenig_ore_deficiency(g: Graph, bp: Bipartition) -> DeficiencyWitness:

@@ -14,17 +14,18 @@ Corpora come in three modes: exhaustive (all labeled graphs on n <= 7
 vertices, in increasing order of the upper-triangle edge code), random
 (independent G(n, p) draws from the SplitMix64 stream, one draw per
 vertex pair in sorted order), and external (a graph6 file, one graph per
-line).
+line, or standard input for "-").
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from multiprocessing import Pool
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from . import __version__
 from .connectivity import CutWitness, vertex_connectivity
@@ -131,8 +132,7 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
     else:
         if spec.source is None:
             raise ValueError("external mode needs a source path")
-        with open(spec.source, "r", encoding="ascii",
-                  errors="surrogateescape") as handle:
+        with _open_graph6(spec.source) as handle:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()
                 if not stripped:
@@ -145,6 +145,16 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
                             f"{spec.source}:{lineno}: {exc}",
                             line=lineno) from exc
                     continue
+
+
+def _open_graph6(source: str) -> TextIO:
+    """The graph6 stream at ``source``, or standard input for "-" (left
+    open on close).  Decoded as ASCII with surrogate escapes, so a
+    non-ASCII byte reaches parse_graph6, which names its offset."""
+    if source == "-":
+        return open(sys.stdin.fileno(), "r", encoding="ascii",
+                    errors="surrogateescape", closefd=False)
+    return open(source, "r", encoding="ascii", errors="surrogateescape")
 
 
 class GraphFacts:

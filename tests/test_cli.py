@@ -201,6 +201,42 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["graphs_processed"] == 2
 
+    def test_external_stdin(self, capsys, monkeypatch, tmp_path):
+        # '-' reads standard input through its file descriptor, so each run
+        # puts a real file in its place
+        monkeypatch.setenv("KEXTEND_WORKERS", "1")
+
+        def piped(data: bytes, *flags: str):
+            src = tmp_path / "piped.g6"
+            src.write_bytes(data)
+            with src.open() as handle:
+                monkeypatch.setattr("sys.stdin", handle)
+                code = cli.main(["verify", "--input", "-", *flags,
+                                 "--properties", "KO"])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        code, out, err = piped(b"Cl\n")
+        report = json.loads(out)
+        assert code == 0 and err == ""
+        assert report["corpus"]["source"] == "-"
+        assert report["graphs_processed"] == 1
+        assert report["properties"]["KO"]["holds"] == 1
+        code, out, err = piped(b"Cl\nCh\xe9\nCh\n")
+        assert code == 2 and out == ""
+        assert err == "kextend verify: -:2: non-ascii byte in graph6 string\n"
+        code, out, _ = piped(b"Cl\nCh\xe9\nCh\n", "--no-strict")
+        assert code == 0
+        assert json.loads(out)["graphs_processed"] == 2
+
+    def test_external_missing_file_exits_2_with_path(self, capsys,
+                                                     monkeypatch, tmp_path):
+        path = str(tmp_path / "absent.g6")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["verify", "--input", path])
+        assert code == 2 and out == ""
+        assert err == f"kextend verify: {path}: No such file or directory\n"
+
 
 class TestGen:
     def test_exhaustive_3_has_8_lines(self, capsys, monkeypatch):

@@ -3,13 +3,20 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from conftest import exhaustive_graphs, graphs, seeded_random_bipartite
+import kextend.extendibility as extendibility
+from conftest import (
+    exhaustive_graphs,
+    graphs,
+    seeded_random_bipartite,
+    seeded_random_graph,
+)
 from kextend import (
     Bipartition,
     Matching,
     bipartition,
     complete_bipartite,
     complete_graph,
+    cycle_graph,
     extendibility_number,
     extends_to_perfect,
     from_edges,
@@ -25,8 +32,11 @@ from kextend import (
 from kextend.extendibility import (
     BLOCKED_MATCHING,
     DISCONNECTED,
+    EXHIBIT_LIMIT,
     NO_PERFECT_MATCHING,
     SIZE_TOO_SMALL,
+    ExtendibilityCertificate,
+    _unmet_precondition,
 )
 from kextend.matching import enumerate_matchings
 from kextend.rng import SplitMix64
@@ -84,6 +94,59 @@ class TestDefinitionalChecker:
             assert set(m.edges) <= set(ext.edges)
             assert ext.size * 2 == k33.n
             assert extends_to_perfect(k33, m) is not None
+
+
+def reference_certificate(g, k):
+    """The definitional loop without memo or warm start: every size-k
+    matching in lexicographic order, each extended from scratch."""
+    failed = _unmet_precondition(g, k, lambda: is_connected(g),
+                                 lambda: has_perfect_matching(g))
+    if failed is not None:
+        return failed
+    exhibit = []
+    for m in enumerate_matchings(g, k):
+        extension = extends_to_perfect(g, m)
+        if extension is None:
+            return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
+                                            witness=m)
+        if len(exhibit) < EXHIBIT_LIMIT:
+            exhibit.append((m, extension))
+    return ExtendibilityCertificate(True, k, exhibit=tuple(exhibit))
+
+
+class TestCertificateEngine:
+    def test_matches_reference_loop(self):
+        corpus = [g for n in range(6) for g in exhaustive_graphs(n)]
+        rng = SplitMix64(2021)
+        corpus += [seeded_random_graph(n, rng, p)
+                   for n in range(8, 13) for p in (0.3, 0.5, 0.7, 0.85)
+                   for _ in range(2)]
+        for g in corpus:
+            for k in range(g.n // 2 + 1):
+                assert is_k_extendible(g, k) == reference_certificate(g, k), \
+                    (g, k)
+
+    @pytest.mark.parametrize("g, verdict, matchings, masks", [
+        (complete_graph(8), True, 210, 70),
+        (cycle_graph(8), False, 20, 20),
+        (complete_bipartite(4, 4), True, 72, 36),
+    ])
+    def test_one_blossom_test_per_covered_set(self, monkeypatch, g, verdict,
+                                              matchings, masks):
+        calls = []
+        helper = extendibility._perfect_after_removing
+
+        def counted(adj, n, removed, base):
+            calls.append(removed)
+            return helper(adj, n, removed, base)
+
+        monkeypatch.setattr(extendibility, "_perfect_after_removing", counted)
+        assert is_k_extendible(g, 2).verdict == verdict
+        covered = [m.covered_mask() for m in enumerate_matchings(g, 2)]
+        assert (len(covered), len(set(covered))) == (matchings, masks)
+        assert len(calls) == len(set(calls)) <= masks
+        if verdict:
+            assert set(calls) == set(covered)
 
 
 class TestExtendibilityNumber:

@@ -27,8 +27,13 @@ from kextend import (
     maximum_matching,
     path_graph,
 )
-from kextend.matching import validate_matching
+from kextend.matching import (
+    _mask_maximum_matching,
+    _perfect_after_removing,
+    validate_matching,
+)
 from kextend.oracles import (
+    _max_matching_size,
     brute_force_deficiency,
     brute_force_matching_number,
     brute_force_maximum_matching,
@@ -232,6 +237,23 @@ class TestPerfectMatching:
                 assert set(m.edges) <= set(ext.edges)
                 assert ext.size * 2 == g.n
                 validate_matching(g, ext)
+
+    def test_warm_start_against_oracle(self):
+        # every removed set, odd ones included, of every graph on n <= 6
+        # with a perfect matching; an odd remainder has none by parity
+        for n in range(7):
+            full = (1 << n) - 1
+            for g in exhaustive_graphs(n):
+                base = _mask_maximum_matching(g.adj, n, full)
+                if -1 in base:
+                    continue
+                for removed in range(1 << n):
+                    rest = full & ~removed
+                    want = (rest.bit_count() % 2 == 0 and
+                            _max_matching_size(g.adj, rest) * 2
+                            == rest.bit_count())
+                    got = _perfect_after_removing(g.adj, n, removed, base)
+                    assert got == want, (g, removed)
 
 
 class TestMatchingNumber:
