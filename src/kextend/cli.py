@@ -110,6 +110,9 @@ def _input_error(command: str, path: str, exc: Exception) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.kmax < 0:
+        print("kextend analyze: kmax must be nonnegative", file=sys.stderr)
+        return USAGE_ERROR
     try:
         with _open_input(args.input) as handle:
             for g in _read_graphs(handle, args.format):

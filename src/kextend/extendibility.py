@@ -11,9 +11,10 @@ Whether a matching M extends depends only on V(M), the vertices it
 covers, so a level is decided once per covered vertex set: each new set is
 tested from one perfect matching of the graph, keeping its edges that
 avoid the set and augmenting from the at most 2k vertices left exposed.
+A caller may hand that matching in, so one per graph feeds every level.
 The walk over size-k matchings stays lexicographic, so the blocked
-witness is the least blocked matching; the exhibited extensions come from
-extends_to_perfect, as a direct call on the same matching gives them.
+witness is the least blocked matching.  The exhibited extensions come
+from extends_to_perfect, computed when ``exhibit`` is first read.
 
 For balanced bipartite graphs the same verdict follows from a surplus
 condition on one side: |N(A)| >= |A| + k for every nonempty A within X of
@@ -24,7 +25,8 @@ differentially tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -67,14 +69,21 @@ class ExtendibilityCertificate:
 
     No-verdicts name the first failed condition; a BlockedMatching failure
     carries the lexicographically least size-k matching with no perfect
-    extension.  Yes-verdicts carry a bounded sample of tested matchings
-    with one extension each."""
+    extension.  Yes-verdicts carry a bounded sample of tested matchings,
+    ``exhibited``, each extended in ``exhibit`` on first read."""
 
     verdict: bool
     k: int
     reason: Optional[str] = None
     witness: Optional[Matching] = None
-    exhibit: tuple[tuple[Matching, Matching], ...] = ()
+    exhibited: tuple[tuple[Edge, ...], ...] = ()
+    graph: Optional[Graph] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def exhibit(self) -> tuple[tuple[Matching, Matching], ...]:
+        """(matching, one perfect extension) per exhibited matching."""
+        ms = [Matching(edges) for edges in self.exhibited]
+        return tuple((m, extends_to_perfect(self.graph, m)) for m in ms)
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,8 @@ class HallViolator:
 def is_k_extendible(g: Graph, k: int) -> ExtendibilityCertificate:
     if k < 0:
         raise ValueError("extendibility level must be nonnegative")
-    return _certificate(g, k, lambda: is_connected(g),
-                        lambda: has_perfect_matching(g))
+    return _certificate(g, k, lambda: is_connected(g), cache(
+        lambda: _mask_maximum_matching(g.adj, g.n, (1 << g.n) - 1)))
 
 
 def _unmet_precondition(g: Graph, k: int, connected: Callable[[], bool],
@@ -108,16 +117,16 @@ def _unmet_precondition(g: Graph, k: int, connected: Callable[[], bool],
 
 
 def _certificate(g: Graph, k: int, connected: Callable[[], bool],
-                 perfect: Callable[[], bool]) -> ExtendibilityCertificate:
-    """Definitional certificate at level k >= 0; see _unmet_precondition."""
-    failed = _unmet_precondition(g, k, connected, perfect)
+                 maximum: Callable[[], list[int]]) -> ExtendibilityCertificate:
+    """Definitional certificate at level k >= 0; see _unmet_precondition.
+    ``maximum`` gives the match array of one maximum matching of g."""
+    failed = _unmet_precondition(g, k, connected, lambda: -1 not in maximum())
     if failed is not None:
         return failed
-    # covered mask -> extends; at k = 0 the precondition has already found
-    # a perfect matching, so the empty cover needs no base
+    # covered mask -> extends; the empty cover extends to base itself
     extends = {0: True}
-    base = _mask_maximum_matching(g.adj, g.n, (1 << g.n) - 1) if k else None
-    exhibit: list[tuple[Matching, Matching]] = []
+    base = maximum()
+    exhibited: list[tuple[Edge, ...]] = []
     for covered, edges in _walk_matchings(g, k):
         ok = extends.get(covered)
         if ok is None:
@@ -126,10 +135,10 @@ def _certificate(g: Graph, k: int, connected: Callable[[], bool],
         if not ok:
             return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
                                             witness=Matching(edges))
-        if len(exhibit) < EXHIBIT_LIMIT:
-            m = Matching(edges)
-            exhibit.append((m, extends_to_perfect(g, m)))
-    return ExtendibilityCertificate(True, k, exhibit=tuple(exhibit))
+        if len(exhibited) < EXHIBIT_LIMIT:
+            exhibited.append(edges)
+    return ExtendibilityCertificate(True, k, exhibited=tuple(exhibited),
+                                    graph=g)
 
 
 def extendibility_number(g: Graph) -> Optional[int]:

@@ -10,8 +10,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Optional
 
-from .graphs import Bipartition, Graph, bits, check_bipartition
+from .extendibility import (
+    BLOCKED_MATCHING,
+    DISCONNECTED,
+    NO_PERFECT_MATCHING,
+    SIZE_TOO_SMALL,
+)
+from .graphs import Bipartition, Edge, Graph, bits, check_bipartition
 
 
 @lru_cache(maxsize=1 << 14)
@@ -78,6 +85,33 @@ def count_matchings_brute_force(g: Graph, k: int) -> int:
         else:
             count += 1
     return count
+
+
+def brute_force_is_k_extendible(g: Graph, k: int) -> tuple[
+        bool, Optional[str], Optional[tuple[Edge, ...]]]:
+    """(verdict, reason, witness) of k-extendibility by exhaustion: the size,
+    connectivity and perfect-matching conditions in that order, then every
+    k-subset of the sorted edges that is a matching, in lexicographic order,
+    each decided by an exhaustive matching of its complement.  The witness
+    is the first matching without a perfect extension."""
+    full = (1 << g.n) - 1
+    if g.n < 2 * k + 2:
+        return False, SIZE_TOO_SMALL, None
+    if _disconnects(g, ()):
+        return False, DISCONNECTED, None
+    if 2 * _max_matching_size(g.adj, full) != g.n:
+        return False, NO_PERFECT_MATCHING, None
+    for combo in combinations(sorted(g.edges()), k):
+        used = 0
+        for u, v in combo:
+            if used & (1 << u | 1 << v):
+                break
+            used |= 1 << u | 1 << v
+        else:
+            rest = full & ~used
+            if 2 * _max_matching_size(g.adj, rest) != rest.bit_count():
+                return False, BLOCKED_MATCHING, combo
+    return True, None, None
 
 
 def brute_force_deficiency(g: Graph, bp: Bipartition) -> int:

@@ -54,7 +54,7 @@ from .jsonio import (
     hall_violator_json,
     matching_json,
 )
-from .matching import Matching, koenig_ore_deficiency, matching_number
+from .matching import Matching, _mask_maximum_matching, koenig_ore_deficiency
 from .oracles import brute_force_deficiency
 from .rng import SplitMix64
 
@@ -161,7 +161,7 @@ class GraphFacts:
     """What the properties ask about one graph, each fact computed at most
     once, on first use.  Each equals its one-shot library call on the same
     graph: ``perfect`` is has_perfect_matching and ``connectivity`` is
-    vertex_connectivity."""
+    vertex_connectivity.  One maximum matching feeds all matching facts."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -172,8 +172,14 @@ class GraphFacts:
         return is_connected(self.g)
 
     @cached_property
+    def maximum(self) -> list[int]:
+        """Match array of one maximum matching, -1 for an exposed vertex."""
+        return _mask_maximum_matching(self.g.adj, self.g.n,
+                                      (1 << self.g.n) - 1)
+
+    @cached_property
     def matching_number(self) -> int:
-        return matching_number(self.g)
+        return (self.g.n - self.maximum.count(-1)) // 2
 
     @cached_property
     def perfect(self) -> bool:
@@ -194,7 +200,7 @@ class GraphFacts:
         cert = self._certificates.get(k)
         if cert is None:
             cert = _certificate(self.g, k, lambda: self.connected,
-                                lambda: self.perfect)
+                                lambda: self.maximum)
             self._certificates[k] = cert
         return cert
 
@@ -421,9 +427,15 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
     violations: list[dict[str, Any]] = []
     processed = 0
     tasks = ((g, selected, kmax) for g in generate_corpus(spec))
+    count = _corpus_size(spec)
+    chunksize = 64
+    if count is not None:
+        # never more workers than graphs, about four chunks per worker
+        workers = min(workers, count)
+        chunksize = min(chunksize, -(-count // (4 * workers)))
     if workers > 1:
         with Pool(workers) as pool:
-            results: Iterable = pool.imap(_task, tasks, chunksize=64)
+            results: Iterable = pool.imap(_task, tasks, chunksize=chunksize)
             processed = _fold(results, tallies, violations)
     else:
         processed = _fold(map(_task, tasks), tallies, violations)
@@ -441,6 +453,13 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
         version=__version__,
         wall_time_ms=wall,
     )
+
+
+def _corpus_size(spec: CorpusSpec) -> Optional[int]:
+    """Graphs in an exhaustive or random corpus; None for an external one."""
+    if spec.mode == "exhaustive":
+        return 1 << (spec.n * (spec.n - 1) // 2)
+    return spec.count if spec.mode == "random" else None
 
 
 def _fold(results: Iterable[TaskResult], tallies: dict[str, dict[str, int]],

@@ -9,9 +9,12 @@ import pytest
 
 import kextend.cli as cli
 from kextend import (
+    Matching,
     Report,
+    complete_bipartite,
     cycle_graph,
     extendibility_number,
+    extends_to_perfect,
     matching_number,
     to_graph6,
     vertex_connectivity,
@@ -99,6 +102,37 @@ class TestAnalyze:
         assert len(lines) == 7
         for line in lines:
             jsonschema.validate(json.loads(line), ANALYSIS_SCHEMA)
+
+
+    def test_negative_kmax_exits_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["analyze", "--kmax", "-1"],
+                                 stdin=to_graph6(cycle_graph(4)) + "\n")
+        assert (code, out) == (2, "")
+        assert err == "kextend analyze: kmax must be nonnegative\n"
+
+    def test_kmax_zero_gives_level_zero_only(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, monkeypatch, ["analyze", "--kmax", "0"],
+                               stdin=to_graph6(cycle_graph(4)) + "\n")
+        assert code == 0
+        assert [c["k"] for c in json.loads(out)["certificates"]] == [0]
+
+    def test_k33_record_carries_exhibits(self, capsys, monkeypatch):
+        k33 = complete_bipartite(3, 3)
+        code, out, _ = run_cli(capsys, monkeypatch, ["analyze", "--kmax", "2"],
+                               stdin=to_graph6(k33) + "\n")
+        assert code == 0
+        certificates = json.loads(out)["certificates"]
+        assert [len(c["exhibit"]) for c in certificates] == [1, 2, 2]
+        assert certificates[1]["exhibit"][0] == {
+            "matching": [[0, 3]], "extension": [[0, 3], [1, 4], [2, 5]]}
+        for k, cert in enumerate(certificates):
+            assert cert["verdict"] == "yes"
+            for pair in cert["exhibit"]:
+                m = Matching.of(pair["matching"])
+                assert m.size == k
+                assert pair["extension"] == [
+                    list(e) for e in extends_to_perfect(k33, m).edges]
 
 
 class TestVerify:

@@ -39,6 +39,7 @@ from kextend.extendibility import (
     _unmet_precondition,
 )
 from kextend.matching import enumerate_matchings
+from kextend.oracles import brute_force_is_k_extendible
 from kextend.rng import SplitMix64
 
 
@@ -98,20 +99,23 @@ class TestDefinitionalChecker:
 
 def reference_certificate(g, k):
     """The definitional loop without memo or warm start: every size-k
-    matching in lexicographic order, each extended from scratch."""
+    matching in lexicographic order, each extended from scratch.  Returns
+    the certificate and its exhibit, whose extensions are built eagerly."""
     failed = _unmet_precondition(g, k, lambda: is_connected(g),
                                  lambda: has_perfect_matching(g))
     if failed is not None:
-        return failed
+        return failed, ()
     exhibit = []
     for m in enumerate_matchings(g, k):
         extension = extends_to_perfect(g, m)
         if extension is None:
             return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
-                                            witness=m)
+                                            witness=m), ()
         if len(exhibit) < EXHIBIT_LIMIT:
             exhibit.append((m, extension))
-    return ExtendibilityCertificate(True, k, exhibit=tuple(exhibit))
+    exhibited = tuple(m.edges for m, _ in exhibit)
+    return (ExtendibilityCertificate(True, k, exhibited=exhibited, graph=g),
+            tuple(exhibit))
 
 
 class TestCertificateEngine:
@@ -123,8 +127,9 @@ class TestCertificateEngine:
                    for _ in range(2)]
         for g in corpus:
             for k in range(g.n // 2 + 1):
-                assert is_k_extendible(g, k) == reference_certificate(g, k), \
-                    (g, k)
+                cert = is_k_extendible(g, k)
+                reference, exhibit = reference_certificate(g, k)
+                assert cert == reference and cert.exhibit == exhibit, (g, k)
 
     @pytest.mark.parametrize("g, verdict, matchings, masks", [
         (complete_graph(8), True, 210, 70),
@@ -147,6 +152,37 @@ class TestCertificateEngine:
         assert len(calls) == len(set(calls)) <= masks
         if verdict:
             assert set(calls) == set(covered)
+
+
+class TestBruteForceOracle:
+    def test_agrees_with_engine_at_every_level(self):
+        """Verdict, reason and witness against an oracle that shares no
+        search code with the engine, mostly on non-bipartite graphs."""
+        corpus = [g for n in range(6) for g in exhaustive_graphs(n)]
+        rng = SplitMix64(1980)
+        corpus += [seeded_random_graph(n, rng, p)
+                   for n in range(6, 11) for p in (0.3, 0.5, 0.7, 0.85)
+                   for _ in range(60)]
+        for g in corpus:
+            for k in range(g.n // 2 + 1):
+                cert = is_k_extendible(g, k)
+                witness = cert.witness.edges if cert.witness else None
+                assert ((cert.verdict, cert.reason, witness)
+                        == brute_force_is_k_extendible(g, k)), (g, k)
+
+    def test_named_verdicts(self, c8, k33, p4):
+        assert brute_force_is_k_extendible(k33, 2) == (True, None, None)
+        assert brute_force_is_k_extendible(p4, 1) == (
+            False, BLOCKED_MATCHING, ((1, 2),))
+        assert brute_force_is_k_extendible(c8, 2) == (
+            False, BLOCKED_MATCHING, ((0, 1), (3, 4)))
+        assert brute_force_is_k_extendible(
+            from_edges(4, [(0, 1), (2, 3)]), 0) == (False, DISCONNECTED, None)
+        assert brute_force_is_k_extendible(path_graph(3), 1) == (
+            False, SIZE_TOO_SMALL, None)
+        assert brute_force_is_k_extendible(
+            from_edges(4, [(0, 1), (0, 2), (0, 3)]), 1) == (
+            False, NO_PERFECT_MATCHING, None)
 
 
 class TestExtendibilityNumber:

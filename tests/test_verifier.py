@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 
+import kextend.extendibility as extendibility
+import kextend.verifier as verifier
 from conftest import exhaustive_graphs
 from kextend import (
     CorpusSpec,
@@ -30,6 +35,7 @@ from kextend.verifier import (
     PROPERTY_IDS,
     VIOLATED,
     GraphFacts,
+    _corpus_size,
     _fold,
     _task,
     report_json,
@@ -274,3 +280,100 @@ class TestViolationPlumbing:
         },)
         assert report.properties["KO"] == {HOLDS: 7, VIOLATED: 1,
                                            INAPPLICABLE: 0}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the worker pool with an in-process stand-in; the list holds
+    (processes, chunksizes passed to imap) for every pool started."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            self.chunksizes = []
+            started.append((processes, self.chunksizes))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            self.chunksizes.append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verifier, "Pool", InProcessPool)
+    return started
+
+
+class TestWorkerPool:
+    def test_corpus_size(self):
+        assert _corpus_size(CorpusSpec(mode="exhaustive", n=0)) == 1
+        assert _corpus_size(CorpusSpec(mode="exhaustive", n=4)) == 64
+        assert _corpus_size(CorpusSpec(mode="random", n=9, count=48)) == 48
+        assert _corpus_size(CorpusSpec(mode="external", source="-")) is None
+
+    def test_small_corpus_spreads_over_workers(self, pools):
+        spec = CorpusSpec(mode="random", n=10, count=48, seed=5)
+        run_corpus(spec, ("MONO-EXT",), kmax=3, workers=2)
+        [(processes, [chunksize])] = pools
+        assert processes == 2 and chunksize <= 24
+
+    def test_no_more_workers_than_graphs(self, pools):
+        run_corpus(CorpusSpec(mode="random", n=6, count=3, seed=1),
+                   PROPERTY_IDS, workers=8)
+        assert pools == [(3, [1])]
+
+    @pytest.mark.parametrize("spec", [
+        CorpusSpec(mode="exhaustive", n=1),
+        CorpusSpec(mode="random", n=8, count=1, seed=4),
+    ])
+    def test_one_graph_starts_no_pool(self, pools, spec):
+        report = run_corpus(spec, PROPERTY_IDS, workers=2)
+        assert report.graphs_processed == 1 and pools == []
+
+    def test_large_and_external_corpora_keep_chunks_of_64(self, pools,
+                                                         tmp_path):
+        spec = CorpusSpec(mode="random", n=4, count=1000, seed=2)
+        run_corpus(spec, ("KO",), kmax=1, workers=2)
+        path = tmp_path / "corpus.g6"
+        path.write_text("".join(to_graph6(g) + "\n"
+                                for g in generate_corpus(spec)))
+        run_corpus(CorpusSpec(mode="external", source=str(path)), ("KO",),
+                   kmax=1, workers=2)
+        assert pools == [(2, [64]), (2, [64])]
+
+    def test_report_bytes_equal_at_one_and_two_workers(self):
+        spec = CorpusSpec(mode="random", n=10, count=48, seed=5)
+        serial, parallel = (
+            json.dumps(report_json(run_corpus(spec, ("MONO-EXT", "T31"),
+                                              kmax=3, workers=workers)))
+            for workers in (1, 2))
+        assert serial == parallel
+
+
+class TestLazyExhibits:
+    def test_clean_run_extends_no_matching(self, monkeypatch):
+        calls = []
+        extend = extendibility.extends_to_perfect
+
+        def counted(g, m):
+            calls.append(m)
+            return extend(g, m)
+
+        monkeypatch.setattr(extendibility, "extends_to_perfect", counted)
+        for spec in (CorpusSpec(mode="exhaustive", n=5),
+                     CorpusSpec(mode="random", n=10, count=60, seed=3)):
+            report = run_corpus(spec, PROPERTY_IDS, kmax=3, workers=1)
+            assert report.violations == ()
+        assert calls == []
+        # reading an exhibit is what extends its matchings
+        assert len(is_k_extendible(cycle_graph(6), 1).exhibit) == 2
+        assert len(calls) == 2
+
+    def test_exhibit_is_built_once_and_compared_by_matchings(self, k33):
+        cert = is_k_extendible(k33, 1)
+        assert cert.exhibit is cert.exhibit
+        assert replace(cert, graph=None) == cert
+        assert replace(cert, exhibited=cert.exhibited[:1]) != cert
