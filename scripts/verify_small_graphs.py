@@ -8,16 +8,17 @@ Usage:
 Walks every exhaustive corpus up to --max-n plus seeded random corpora on
 8 and 10 vertices, runs all properties, and prints one summary line per
 corpus.  Exits 1 if any corpus reports a violation (each property is a
-theorem, so a violation means a bug in the implementation).
+theorem, so a violation means a bug in the implementation) and 2 on a
+bad worker count or kmax.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from kextend import CorpusSpec, run_corpus
+from kextend.cli import USAGE_ERROR, _workers
 from kextend.verifier import PROPERTY_IDS
 
 
@@ -42,24 +43,33 @@ def main() -> int:
     parser.add_argument("--random-count", type=int, default=500)
     parser.add_argument("--kmax", type=int, default=3)
     parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("KEXTEND_WORKERS",
-                                                   os.cpu_count() or 1)))
+                        help="worker processes (default: KEXTEND_WORKERS, "
+                             "else machine parallelism)")
     args = parser.parse_args()
+    try:
+        clean = campaign(args)
+    except ValueError as exc:
+        # a bad worker count or kmax, refused before any graph is read
+        print(f"verify_small_graphs: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    print("RESULT:", "all corpora clean" if clean else "violations found")
+    return 0 if clean else 1
 
+
+def campaign(args: argparse.Namespace) -> bool:
+    workers = _workers() if args.workers is None else args.workers
     clean = True
     for n in range(1, args.max_n + 1):
         report = run_corpus(CorpusSpec(mode="exhaustive", n=n),
-                            PROPERTY_IDS, kmax=args.kmax,
-                            workers=args.workers)
+                            PROPERTY_IDS, kmax=args.kmax, workers=workers)
         clean &= summarize(f"exhaustive n={n}", report)
     for n in (8, 10):
         spec = CorpusSpec(mode="random", n=n, count=args.random_count, seed=n)
         report = run_corpus(spec, PROPERTY_IDS, kmax=args.kmax,
-                            workers=args.workers)
+                            workers=workers)
         clean &= summarize(f"random n={n} count={args.random_count} seed={n}",
                            report)
-    print("RESULT:", "all corpora clean" if clean else "violations found")
-    return 0 if clean else 1
+    return clean
 
 
 if __name__ == "__main__":

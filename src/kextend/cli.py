@@ -10,8 +10,8 @@ Subcommands:
 * ``convert``: translate between graph6 and edge-list text.
 
 Exit codes: 0 clean, 1 property violation found, 2 usage or input error.
-``KEXTEND_WORKERS`` sets the verification worker count (default: machine
-parallelism); output bytes do not depend on it.
+``KEXTEND_WORKERS`` sets the verification worker count, 1 to 256
+(default: machine parallelism up to 256); bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Optional, TextIO
 
 from . import __version__
+from .extendibility import GraphFacts
 from .graphs import (
     Bipartition,
     Graph,
@@ -41,9 +42,9 @@ from .jsonio import (
     odd_cycle_json,
 )
 from .verifier import (
+    _MAX_WORKERS,
     PROPERTY_IDS,
     CorpusSpec,
-    GraphFacts,
     generate_corpus,
     report_json,
     run_corpus,
@@ -139,7 +140,7 @@ def _corpus_spec(args: argparse.Namespace) -> CorpusSpec:
 def _workers() -> int:
     raw = os.environ.get("KEXTEND_WORKERS")
     if raw is None:
-        return os.cpu_count() or 1
+        return min(os.cpu_count() or 1, _MAX_WORKERS)
     try:
         workers = int(raw)
     except ValueError:

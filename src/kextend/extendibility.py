@@ -11,10 +11,13 @@ Whether a matching M extends depends only on V(M), the vertices it
 covers, so a level is decided once per covered vertex set: each new set is
 tested from one perfect matching of the graph, keeping its edges that
 avoid the set and augmenting from the at most 2k vertices left exposed.
-A caller may hand that matching in, so one per graph feeds every level.
 The walk over size-k matchings stays lexicographic, so the blocked
 witness is the least blocked matching.  The exhibited extensions come
 from extends_to_perfect, computed when ``exhibit`` is first read.
+
+GraphFacts is the one entry to that engine: it answers the preconditions
+from the facts it holds and warm-starts every level from one maximum
+matching.  The one-shots and the bipartite checker each build one.
 
 For balanced bipartite graphs the same verdict follows from a surplus
 condition on one side: |N(A)| >= |A| + k for every nonempty A within X of
@@ -26,15 +29,18 @@ differentially tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Optional
 
+from .connectivity import CutWitness, vertex_connectivity
 from .graphs import (
     Bipartition,
     Edge,
     Graph,
+    OddCycle,
     VertexSet,
+    bipartition,
     bits,
     check_bipartition,
     delete_vertices,
@@ -47,9 +53,7 @@ from .matching import (
     _mask_maximum_matching,
     _perfect_after_removing,
     _walk_matchings,
-    enumerate_matchings,
     extends_to_perfect,
-    has_perfect_matching,
 )
 
 SIZE_TOO_SMALL = "SizeTooSmall"
@@ -94,38 +98,90 @@ class HallViolator:
     neighborhood_size: int
 
 
+class GraphFacts:
+    """What is asked about one graph, each fact computed at most once, on
+    first use.  Each equals its one-shot library call on the same graph:
+    ``perfect`` is has_perfect_matching and ``connectivity`` is
+    vertex_connectivity.  One maximum matching feeds every matching fact."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self._certificates: dict[int, ExtendibilityCertificate] = {}
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    @cached_property
+    def maximum(self) -> list[int]:
+        """Match array of one maximum matching, -1 for an exposed vertex."""
+        return _mask_maximum_matching(self.g.adj, self.g.n,
+                                      (1 << self.g.n) - 1)
+
+    @cached_property
+    def matching_number(self) -> int:
+        return (self.g.n - self.maximum.count(-1)) // 2
+
+    @cached_property
+    def perfect(self) -> bool:
+        return 2 * self.matching_number == self.g.n
+
+    @cached_property
+    def bipartition(self) -> Bipartition | OddCycle:
+        return bipartition(self.g)
+
+    @cached_property
+    def connectivity(self) -> tuple[int, Optional[CutWitness]]:
+        return vertex_connectivity(self.g)
+
+    def is_k_connected(self, k: int) -> bool:
+        return self.g.n >= k + 1 and self.connectivity[0] >= k
+
+    def _unmet_precondition(self, k: int
+                            ) -> Optional[ExtendibilityCertificate]:
+        """The no-certificate for the first failed condition among size,
+        connectivity and perfect matching, in that order, else None."""
+        if self.g.n < 2 * k + 2:
+            return ExtendibilityCertificate(False, k, reason=SIZE_TOO_SMALL)
+        if not self.connected:
+            return ExtendibilityCertificate(False, k, reason=DISCONNECTED)
+        if not self.perfect:
+            return ExtendibilityCertificate(False, k,
+                                            reason=NO_PERFECT_MATCHING)
+        return None
+
+    def certificate(self, k: int) -> ExtendibilityCertificate:
+        """Definitional certificate at level k >= 0, memoized per level."""
+        cert = self._certificates.get(k)
+        if cert is None:
+            cert = self._unmet_precondition(k)
+            if cert is None:
+                cert = _certificate(self.g, k, self.maximum)
+            self._certificates[k] = cert
+        return cert
+
+    @cached_property
+    def extendibility_number(self) -> Optional[int]:
+        """Largest k for which the graph is k-extendible, or None when it is
+        not even 0-extendible.  Every level up to the size bound (n-2)/2 is
+        checked outright, so monotonicity is never assumed."""
+        passing = [k for k in range((self.g.n - 2) // 2 + 1)
+                   if self.certificate(k).verdict]
+        return max(passing) if passing else None
+
+
 def is_k_extendible(g: Graph, k: int) -> ExtendibilityCertificate:
     if k < 0:
         raise ValueError("extendibility level must be nonnegative")
-    return _certificate(g, k, lambda: is_connected(g), cache(
-        lambda: _mask_maximum_matching(g.adj, g.n, (1 << g.n) - 1)))
+    return GraphFacts(g).certificate(k)
 
 
-def _unmet_precondition(g: Graph, k: int, connected: Callable[[], bool],
-                        perfect: Callable[[], bool]
-                        ) -> Optional[ExtendibilityCertificate]:
-    """The no-certificate for the first failed condition among size,
-    connectivity and perfect matching, in that order, else None.  The last
-    two are asked on demand, so a caller may answer from facts it holds."""
-    if g.n < 2 * k + 2:
-        return ExtendibilityCertificate(False, k, reason=SIZE_TOO_SMALL)
-    if not connected():
-        return ExtendibilityCertificate(False, k, reason=DISCONNECTED)
-    if not perfect():
-        return ExtendibilityCertificate(False, k, reason=NO_PERFECT_MATCHING)
-    return None
-
-
-def _certificate(g: Graph, k: int, connected: Callable[[], bool],
-                 maximum: Callable[[], list[int]]) -> ExtendibilityCertificate:
-    """Definitional certificate at level k >= 0; see _unmet_precondition.
-    ``maximum`` gives the match array of one maximum matching of g."""
-    failed = _unmet_precondition(g, k, connected, lambda: -1 not in maximum())
-    if failed is not None:
-        return failed
+def _certificate(g: Graph, k: int, base: list[int]
+                 ) -> ExtendibilityCertificate:
+    """Walk the size-k matchings of g, which meets every precondition,
+    deciding each covered vertex set once from the perfect match ``base``."""
     # covered mask -> extends; the empty cover extends to base itself
     extends = {0: True}
-    base = maximum()
     exhibited: list[tuple[Edge, ...]] = []
     for covered, edges in _walk_matchings(g, k):
         ok = extends.get(covered)
@@ -142,13 +198,8 @@ def _certificate(g: Graph, k: int, connected: Callable[[], bool],
 
 
 def extendibility_number(g: Graph) -> Optional[int]:
-    """Largest k for which the graph is k-extendible, or None when it is
-    not even 0-extendible.  Every level up to the size bound (n-2)/2 is
-    checked outright; levels beyond it fail on size alone, so monotonicity
-    is never assumed."""
-    passing = [k for k in range((g.n - 2) // 2 + 1)
-               if is_k_extendible(g, k).verdict]
-    return max(passing) if passing else None
+    """See GraphFacts.extendibility_number."""
+    return GraphFacts(g).extendibility_number
 
 
 def hall_surplus_check(g: Graph, bp: Bipartition,
@@ -180,14 +231,14 @@ def is_k_extendible_bipartite(g: Graph, bp: Bipartition,
     _check_balanced(g, bp)
     if k < 1:
         raise ValueError("extendibility level must be at least 1 here")
-    failed = _unmet_precondition(g, k, lambda: is_connected(g),
-                                 lambda: has_perfect_matching(g))
+    facts = GraphFacts(g)
+    failed = facts._unmet_precondition(k)
     if failed is not None:
         return failed
     violator = hall_surplus_check(g, bp, k)
     if violator is None:
         return ExtendibilityCertificate(True, k)
-    witness = _blocked_matching_for(g, bp, k, violator)
+    witness = _blocked_matching_for(facts, bp, k, violator)
     return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
                                     witness=witness)
 
@@ -199,13 +250,14 @@ def _check_balanced(g: Graph, bp: Bipartition) -> None:
                          "perfect matching")
 
 
-def _blocked_matching_for(g: Graph, bp: Bipartition, k: int,
+def _blocked_matching_for(facts: GraphFacts, bp: Bipartition, k: int,
                           violator: HallViolator) -> Matching:
     """Turn a surplus violator A into a size-k matching with no perfect
     extension: greedily match vertices of N(A) to X minus A, which strands
     A, then pad with edges avoiding A.  The candidate is re-checked; if the
-    construction falls short, fall back to the lexicographically least
-    failing matching."""
+    construction falls short, fall back to the definitional witness, the
+    lexicographically least failing matching."""
+    g = facts.g
     a_mask = vertex_mask(violator.a)
     x_free = vertex_mask(bp.x) & ~a_mask
     picked: list[Edge] = []
@@ -233,9 +285,9 @@ def _blocked_matching_for(g: Graph, bp: Bipartition, k: int,
         candidate = Matching.of(picked)
         if extends_to_perfect(g, candidate) is None:
             return candidate
-    for candidate in enumerate_matchings(g, k):
-        if extends_to_perfect(g, candidate) is None:
-            return candidate
+    witness = facts.certificate(k).witness
+    if witness is not None:
+        return witness
     raise RuntimeError("surplus violator exists but every size-k matching "
                        "extends; checkers disagree")
 

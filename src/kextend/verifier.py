@@ -6,9 +6,9 @@ payloads in the original graph's labels.  Since every property checked
 here is a theorem, any violation on any corpus is an implementation bug;
 the harness is a differential test of the whole stack.
 
-Each graph is evaluated once, through one GraphFacts that computes every
-per-graph fact at most once; the properties are pure functions of it,
-listed in the PROPERTIES table.
+Each graph is evaluated once, through one extendibility.GraphFacts that
+computes every per-graph fact at most once; the properties are pure
+functions of it, listed in the PROPERTIES table.
 
 Corpora come in three modes: exhaustive (all labeled graphs on n <= 7
 vertices, in increasing order of the upper-triangle edge code), random
@@ -22,16 +22,13 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from multiprocessing import Pool
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from . import __version__
-from .connectivity import CutWitness, vertex_connectivity
 from .extendibility import (
-    ExtendibilityCertificate,
-    _certificate,
+    GraphFacts,
     hall_surplus_check,
     is_k_extendible,
     peel,
@@ -40,10 +37,7 @@ from .graphs import (
     Bipartition,
     Graph,
     GraphParseError,
-    OddCycle,
-    bipartition,
     from_edges,
-    is_connected,
     parse_graph6,
     to_graph6,
 )
@@ -54,7 +48,7 @@ from .jsonio import (
     hall_violator_json,
     matching_json,
 )
-from .matching import Matching, _mask_maximum_matching, koenig_ore_deficiency
+from .matching import Matching, koenig_ore_deficiency
 from .oracles import brute_force_deficiency
 from .rng import SplitMix64
 
@@ -66,6 +60,9 @@ ZERO_EXTENDIBLE_NOTE = ("0-extendible is taken to mean: at least 2 vertices, "
                         "connected, and a perfect matching exists")
 
 EXHAUSTIVE_MAX_N = 7
+
+# run_corpus rejects a request for more worker processes than this
+_MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -155,60 +152,6 @@ def _open_graph6(source: str) -> TextIO:
         return open(sys.stdin.fileno(), "r", encoding="ascii",
                     errors="surrogateescape", closefd=False)
     return open(source, "r", encoding="ascii", errors="surrogateescape")
-
-
-class GraphFacts:
-    """What the properties ask about one graph, each fact computed at most
-    once, on first use.  Each equals its one-shot library call on the same
-    graph: ``perfect`` is has_perfect_matching and ``connectivity`` is
-    vertex_connectivity.  One maximum matching feeds all matching facts."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._certificates: dict[int, ExtendibilityCertificate] = {}
-
-    @cached_property
-    def connected(self) -> bool:
-        return is_connected(self.g)
-
-    @cached_property
-    def maximum(self) -> list[int]:
-        """Match array of one maximum matching, -1 for an exposed vertex."""
-        return _mask_maximum_matching(self.g.adj, self.g.n,
-                                      (1 << self.g.n) - 1)
-
-    @cached_property
-    def matching_number(self) -> int:
-        return (self.g.n - self.maximum.count(-1)) // 2
-
-    @cached_property
-    def perfect(self) -> bool:
-        return 2 * self.matching_number == self.g.n
-
-    @cached_property
-    def bipartition(self) -> Bipartition | OddCycle:
-        return bipartition(self.g)
-
-    @cached_property
-    def connectivity(self) -> tuple[int, Optional[CutWitness]]:
-        return vertex_connectivity(self.g)
-
-    def is_k_connected(self, k: int) -> bool:
-        return self.g.n >= k + 1 and self.connectivity[0] >= k
-
-    def certificate(self, k: int) -> ExtendibilityCertificate:
-        cert = self._certificates.get(k)
-        if cert is None:
-            cert = _certificate(self.g, k, lambda: self.connected,
-                                lambda: self.maximum)
-            self._certificates[k] = cert
-        return cert
-
-    @cached_property
-    def extendibility_number(self) -> Optional[int]:
-        passing = [k for k in range((self.g.n - 2) // 2 + 1)
-                   if self.certificate(k).verdict]
-        return max(passing) if passing else None
 
 
 # (status, detail) of one property on one graph
@@ -420,6 +363,8 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
         raise ValueError("property set must not be empty")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"worker count must lie in 1..{_MAX_WORKERS}")
     validate_corpus_spec(spec)
     start = time.perf_counter()
     tallies = {pid: {HOLDS: 0, VIOLATED: 0, INAPPLICABLE: 0}

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import kextend.cli as cli
+import kextend.verifier as verifier
 from kextend import (
     Matching,
     Report,
@@ -20,7 +24,8 @@ from kextend import (
     vertex_connectivity,
 )
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "schema"
 ANALYSIS_SCHEMA = json.loads((SCHEMA_DIR / "analysis.json").read_text())
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.json").read_text())
 
@@ -270,6 +275,39 @@ class TestVerify:
                                  ["verify", "--input", path])
         assert code == 2 and out == ""
         assert err == f"kextend verify: {path}: No such file or directory\n"
+
+    def test_worker_count_above_cap_exits_2_without_pool(self, capsys,
+                                                         monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(verifier, "Pool", refuse)
+        monkeypatch.setenv("KEXTEND_WORKERS", "100000")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["verify", "--exhaustive", "6"])
+        assert code == 2 and out == ""
+        assert err == "kextend verify: worker count must lie in 1..256\n"
+
+    def test_default_worker_count_is_capped(self, monkeypatch):
+        monkeypatch.delenv("KEXTEND_WORKERS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
+        assert cli._workers() == 256
+
+
+class TestSmallGraphsScript:
+    def test_malformed_worker_count_exits_2_with_one_line(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, KEXTEND_WORKERS="abc", PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "verify_small_graphs.py"),
+             "--max-n", "1", "--random-count", "1"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("verify_small_graphs: KEXTEND_WORKERS must be "
+                               "an integer, got 'abc'\n")
 
 
 class TestGen:

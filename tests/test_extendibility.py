@@ -36,7 +36,6 @@ from kextend.extendibility import (
     NO_PERFECT_MATCHING,
     SIZE_TOO_SMALL,
     ExtendibilityCertificate,
-    _unmet_precondition,
 )
 from kextend.matching import enumerate_matchings
 from kextend.oracles import brute_force_is_k_extendible
@@ -100,11 +99,16 @@ class TestDefinitionalChecker:
 def reference_certificate(g, k):
     """The definitional loop without memo or warm start: every size-k
     matching in lexicographic order, each extended from scratch.  Returns
-    the certificate and its exhibit, whose extensions are built eagerly."""
-    failed = _unmet_precondition(g, k, lambda: is_connected(g),
-                                 lambda: has_perfect_matching(g))
-    if failed is not None:
-        return failed, ()
+    the certificate and its exhibit, whose extensions are built eagerly.
+    The preconditions are library calls, so nothing is shared with
+    GraphFacts."""
+    if g.n < 2 * k + 2:
+        return ExtendibilityCertificate(False, k, reason=SIZE_TOO_SMALL), ()
+    if not is_connected(g):
+        return ExtendibilityCertificate(False, k, reason=DISCONNECTED), ()
+    if not has_perfect_matching(g):
+        return ExtendibilityCertificate(False, k,
+                                        reason=NO_PERFECT_MATCHING), ()
     exhibit = []
     for m in enumerate_matchings(g, k):
         extension = extends_to_perfect(g, m)
@@ -198,6 +202,18 @@ class TestExtendibilityNumber:
 
     def test_complete_graphs(self):
         assert extendibility_number(complete_graph(6)) == 2
+
+    def test_one_maximum_matching_and_connectivity_check(self, monkeypatch):
+        """The one-shot shares one GraphFacts across its levels."""
+        calls = {"_mask_maximum_matching": 0, "is_connected": 0}
+        for name, original in [(name, getattr(extendibility, name))
+                               for name in calls]:
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(extendibility, name, counted)
+        assert extendibility_number(complete_bipartite(4, 4)) == 3
+        assert calls == {"_mask_maximum_matching": 1, "is_connected": 1}
 
     @given(graphs(max_n=8))
     @settings(max_examples=80)

@@ -26,7 +26,9 @@ from kextend import (
     to_graph6,
     vertex_connectivity,
 )
+from kextend.extendibility import GraphFacts
 from kextend.jsonio import certificate_json, cut_witness_json
+from kextend.oracles import brute_force_is_k_extendible
 from kextend.rng import SplitMix64
 from kextend.verifier import (
     HOLDS,
@@ -34,7 +36,7 @@ from kextend.verifier import (
     PROPERTIES,
     PROPERTY_IDS,
     VIOLATED,
-    GraphFacts,
+    _MAX_WORKERS,
     _corpus_size,
     _fold,
     _task,
@@ -144,8 +146,12 @@ class TestGraphFacts:
             for g in exhaustive_graphs(n):
                 facts = GraphFacts(g)
                 for k in range(4):
-                    assert (certificate_json(facts.certificate(k))
+                    cert = facts.certificate(k)
+                    assert (certificate_json(cert)
                             == certificate_json(is_k_extendible(g, k)))
+                    witness = cert.witness.edges if cert.witness else None
+                    assert ((cert.verdict, cert.reason, witness)
+                            == brute_force_is_k_extendible(g, k)), (g, k)
                 assert facts.extendibility_number == extendibility_number(g)
                 if n:
                     kappa, witness = vertex_connectivity(g)
@@ -343,6 +349,27 @@ class TestWorkerPool:
         run_corpus(CorpusSpec(mode="external", source=str(path)), ("KO",),
                    kmax=1, workers=2)
         assert pools == [(2, [64]), (2, [64])]
+
+    @pytest.mark.parametrize("workers", [0, _MAX_WORKERS + 1, 100_000])
+    def test_worker_count_out_of_range_starts_no_pool(self, monkeypatch,
+                                                      tmp_path, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(verifier, "Pool", refuse)
+        path = tmp_path / "one.g6"
+        path.write_text("Cl\n")
+        for spec in (CorpusSpec(mode="exhaustive", n=6),
+                     CorpusSpec(mode="external", source=str(path))):
+            with pytest.raises(ValueError, match="worker count"):
+                run_corpus(spec, PROPERTY_IDS, workers=workers)
+
+    def test_worker_cap_itself_is_accepted(self, pools, tmp_path):
+        path = tmp_path / "one.g6"
+        path.write_text("Cl\n")
+        run_corpus(CorpusSpec(mode="external", source=str(path)), ("KO",),
+                   kmax=1, workers=_MAX_WORKERS)
+        assert pools == [(_MAX_WORKERS, [64])]
 
     def test_report_bytes_equal_at_one_and_two_workers(self):
         spec = CorpusSpec(mode="random", n=10, count=48, seed=5)
