@@ -10,8 +10,11 @@ Subcommands:
 * ``convert``: translate between graph6 and edge-list text.
 
 Exit codes: 0 clean, 1 property violation found, 2 usage or input error.
-``KEXTEND_WORKERS`` sets the verification worker count, 1 to 256
-(default: machine parallelism up to 256); bytes do not depend on it.
+The ``cmd_*`` functions return 0 or 1, or raise; ``main`` alone turns an
+exception into one stderr line and exit 2, and a stdout closed by its
+reader into exit 2 with nothing on stderr.  ``KEXTEND_WORKERS`` sets the
+verification worker count, 1 to 256 (default: machine parallelism up to
+256); bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -104,25 +107,12 @@ def _open_input(path: str) -> Iterator[TextIO]:
             yield handle
 
 
-def _input_error(command: str, path: str, exc: Exception) -> int:
-    reason = getattr(exc, "strerror", None) or exc
-    print(f"kextend {command}: {path}: {reason}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.kmax < 0:
-        print("kextend analyze: kmax must be nonnegative", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        with _open_input(args.input) as handle:
-            for g in _read_graphs(handle, args.format):
-                print(json.dumps(analysis_record(g, args.kmax)))
-    except GraphParseError as exc:
-        print(f"kextend analyze: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
-        return _input_error("analyze", args.input, exc)
+        raise ValueError("kmax must be nonnegative")
+    with _open_input(args.input) as handle:
+        for g in _read_graphs(handle, args.format):
+            print(json.dumps(analysis_record(g, args.kmax)))
     return 0
 
 
@@ -142,64 +132,36 @@ def _workers() -> int:
     if raw is None:
         return min(os.cpu_count() or 1, _MAX_WORKERS)
     try:
-        workers = int(raw)
+        return int(raw)
     except ValueError:
         raise ValueError(f"KEXTEND_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError("KEXTEND_WORKERS must be >= 1")
-    return workers
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     properties = (PROPERTY_IDS if args.properties == "all"
                   else tuple(args.properties.split(",")))
-    unknown = set(properties) - set(PROPERTY_IDS)
-    if unknown:
-        print(f"kextend verify: unknown properties {sorted(unknown)}; "
-              f"known: {', '.join(PROPERTY_IDS)}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        report = run_corpus(_corpus_spec(args), properties, kmax=args.kmax,
-                            workers=_workers())
-    except (GraphParseError, ValueError, OSError) as exc:
-        if isinstance(exc, OSError) and args.input is not None:
-            return _input_error("verify", args.input, exc)
-        print(f"kextend verify: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    report = run_corpus(_corpus_spec(args), properties, kmax=args.kmax,
+                        workers=_workers())
     print(json.dumps(report_json(report, include_timing=args.timing),
                      indent=2))
     return 1 if report.violations else 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        for g in generate_corpus(_corpus_spec(args)):
-            print(to_graph6(g))
-    except ValueError as exc:
-        print(f"kextend gen: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    for g in generate_corpus(_corpus_spec(args)):
+        print(to_graph6(g))
     return 0
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        with _open_input(args.input) as handle:
-            graphs = list(_read_graphs(handle, args.src))
-    except GraphParseError as exc:
-        print(f"kextend convert: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
-        return _input_error("convert", args.input, exc)
-    try:
-        if args.dst == "g6":
-            for g in graphs:
-                print(to_graph6(g))
-        else:
-            # edge-list documents, blank-line separated when streaming
-            print("\n\n".join(to_edge_list(g) for g in graphs))
-    except ValueError as exc:
-        print(f"kextend convert: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    with _open_input(args.input) as handle:
+        graphs = list(_read_graphs(handle, args.src))
+    if args.dst == "g6":
+        for g in graphs:
+            print(to_graph6(g))
+    else:
+        # edge-list documents, blank-line separated when streaming
+        print("\n\n".join(to_edge_list(g) for g in graphs))
     return 0
 
 
@@ -264,8 +226,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand; the only place an exception becomes exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # a reader that closed stdout early is met here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: say nothing, and send the bytes still
+        # buffered to the null device so the interpreter's last flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
+    except (OSError, ValueError) as exc:
+        message = str(exc)
+        if args.input is not None and isinstance(
+                exc, (OSError, UnicodeDecodeError)):
+            message = f"{args.input}: {getattr(exc, 'strerror', None) or exc}"
+        print(f"kextend {args.command}: {message}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

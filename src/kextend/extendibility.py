@@ -17,7 +17,9 @@ from extends_to_perfect, computed when ``exhibit`` is first read.
 
 GraphFacts is the one entry to that engine: it answers the preconditions
 from the facts it holds and warm-starts every level from one maximum
-matching.  The one-shots and the bipartite checker each build one.
+matching.  The one-shots and the bipartite checker each build one; the
+bipartite checker takes its verdict from the surplus scan below and its
+blocked witness from the engine.
 
 For balanced bipartite graphs the same verdict follows from a surplus
 condition on one side: |N(A)| >= |A| + k for every nonempty A within X of
@@ -41,12 +43,9 @@ from .graphs import (
     OddCycle,
     VertexSet,
     bipartition,
-    bits,
     check_bipartition,
     delete_vertices,
     is_connected,
-    neighborhood,
-    vertex_mask,
 )
 from .matching import (
     Matching,
@@ -227,7 +226,8 @@ def is_k_extendible_bipartite(g: Graph, bp: Bipartition,
     """Decide k-extendibility of a balanced bipartite graph through the
     surplus condition instead of matching enumeration.  Agrees with
     is_k_extendible on every input; hypothesis failures reuse the
-    definitional reason codes."""
+    definitional reason codes, and a no-verdict carries the definitional
+    witness, the lexicographically least blocked matching."""
     _check_balanced(g, bp)
     if k < 1:
         raise ValueError("extendibility level must be at least 1 here")
@@ -238,7 +238,10 @@ def is_k_extendible_bipartite(g: Graph, bp: Bipartition,
     violator = hall_surplus_check(g, bp, k)
     if violator is None:
         return ExtendibilityCertificate(True, k)
-    witness = _blocked_matching_for(facts, bp, k, violator)
+    witness = facts.certificate(k).witness
+    if witness is None:
+        raise RuntimeError("surplus violator exists but every size-k "
+                           "matching extends; checkers disagree")
     return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
                                     witness=witness)
 
@@ -248,48 +251,6 @@ def _check_balanced(g: Graph, bp: Bipartition) -> None:
     if len(bp.x) != len(bp.y):
         raise ValueError("sides must be balanced; unbalanced graphs have no "
                          "perfect matching")
-
-
-def _blocked_matching_for(facts: GraphFacts, bp: Bipartition, k: int,
-                          violator: HallViolator) -> Matching:
-    """Turn a surplus violator A into a size-k matching with no perfect
-    extension: greedily match vertices of N(A) to X minus A, which strands
-    A, then pad with edges avoiding A.  The candidate is re-checked; if the
-    construction falls short, fall back to the definitional witness, the
-    lexicographically least failing matching."""
-    g = facts.g
-    a_mask = vertex_mask(violator.a)
-    x_free = vertex_mask(bp.x) & ~a_mask
-    picked: list[Edge] = []
-    used = 0
-    for y in neighborhood(g, violator.a):
-        if used >> y & 1:
-            continue
-        partners = g.adj[y] & x_free & ~used
-        if partners:
-            x = next(bits(partners))
-            picked.append((x, y) if x < y else (y, x))
-            used |= 1 << x | 1 << y
-        if len(picked) == k:
-            break
-    if len(picked) < k:
-        for u, v in g.edges():
-            pair = 1 << u | 1 << v
-            if pair & (used | a_mask):
-                continue
-            picked.append((u, v))
-            used |= pair
-            if len(picked) == k:
-                break
-    if len(picked) == k:
-        candidate = Matching.of(picked)
-        if extends_to_perfect(g, candidate) is None:
-            return candidate
-    witness = facts.certificate(k).witness
-    if witness is not None:
-        return witness
-    raise RuntimeError("surplus violator exists but every size-k matching "
-                       "extends; checkers disagree")
 
 
 def peel(g: Graph, e: tuple[int, int]) -> tuple[Graph, dict[int, int]]:

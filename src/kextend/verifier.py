@@ -127,8 +127,6 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
         for _ in range(spec.count):
             yield random_graph(spec.n, rng, spec.edge_probability)
     else:
-        if spec.source is None:
-            raise ValueError("external mode needs a source path")
         with _open_graph6(spec.source) as handle:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()
@@ -160,8 +158,15 @@ Outcome = tuple[str, Optional[dict[str, Any]]]
 TaskResult = tuple[Optional[str], list[tuple[str, str, Any]]]
 
 
+def _top_level(facts: GraphFacts, kmax: int) -> int:
+    """The highest level up to kmax that the size bound (n-2)/2 admits;
+    every level above it is SizeTooSmall."""
+    return min(kmax, (facts.g.n - 2) // 2)
+
+
 def _extendible_levels(facts: GraphFacts, first: int, kmax: int) -> list[int]:
-    return [k for k in range(first, kmax + 1) if facts.certificate(k).verdict]
+    return [k for k in range(first, _top_level(facts, kmax) + 1)
+            if facts.certificate(k).verdict]
 
 
 def _no_extendible_level(first: int, kmax: int) -> Outcome:
@@ -258,11 +263,8 @@ def _bipartite_characterization(facts: GraphFacts, kmax: int) -> Outcome:
     if not facts.perfect:
         return INAPPLICABLE, {"reason": "no perfect matching"}
     g = facts.g
-    applicable = False
-    for k in range(1, kmax + 1):
-        if g.n < 2 * k + 2:
-            continue
-        applicable = True
+    top = _top_level(facts, kmax)
+    for k in range(1, top + 1):
         cert = facts.certificate(k)
         violator = hall_surplus_check(g, bp, k)
         if cert.verdict != (violator is None):
@@ -272,7 +274,7 @@ def _bipartite_characterization(facts: GraphFacts, kmax: int) -> Outcome:
                 "hall_violator": hall_violator_json(violator)
                 if violator else None,
             }
-    if not applicable:
+    if top < 1:
         return INAPPLICABLE, {"reason": f"fewer than 2k+2 vertices for every "
                                         f"k in 1..{kmax}"}
     return HOLDS, None
@@ -358,7 +360,8 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
     selected = tuple(p for p in PROPERTY_IDS if p in set(properties))
     unknown = set(properties) - set(PROPERTY_IDS)
     if unknown:
-        raise ValueError(f"unknown property ids: {sorted(unknown)}")
+        raise ValueError(f"unknown properties {sorted(unknown)}; "
+                         f"known: {', '.join(PROPERTY_IDS)}")
     if not selected:
         raise ValueError("property set must not be empty")
     if kmax < 1:

@@ -20,6 +20,8 @@ from kextend import (
     extendibility_number,
     extends_to_perfect,
     matching_number,
+    path_graph,
+    to_edge_list,
     to_graph6,
     vertex_connectivity,
 )
@@ -35,6 +37,14 @@ def run_cli(capsys, monkeypatch, argv, stdin=""):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
 
 
 class TestAnalyze:
@@ -293,13 +303,32 @@ class TestVerify:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
         assert cli._workers() == 256
 
+    def test_zero_workers_exits_2_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("KEXTEND_WORKERS", "0")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["verify", "--exhaustive", "2"])
+        assert (code, out) == (2, "")
+        assert err == "kextend verify: worker count must lie in 1..256\n"
+
+    def test_levels_above_size_bound_are_never_asked(self, capsys,
+                                                     monkeypatch):
+        # on 6 vertices no level above 2 passes the size precondition, so
+        # a huge kmax must finish and tally exactly as kmax 3 does
+        monkeypatch.setenv("KEXTEND_WORKERS", "2")
+        reports = []
+        for kmax in ("3", "1000000000"):
+            code, out, _ = run_cli(capsys, monkeypatch,
+                                   ["verify", "--exhaustive", "6",
+                                    "--kmax", kmax])
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[1]["properties"] == reports[0]["properties"]
+        assert reports[1]["violations"] == reports[0]["violations"] == []
+
 
 class TestSmallGraphsScript:
     def test_malformed_worker_count_exits_2_with_one_line(self, tmp_path):
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, KEXTEND_WORKERS="abc", PYTHONPATH=pythonpath)
+        env = subprocess_env(KEXTEND_WORKERS="abc")
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "verify_small_graphs.py"),
              "--max-n", "1", "--random-count", "1"],
@@ -326,6 +355,13 @@ class TestGen:
     def test_exhaustive_bound_refused(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, monkeypatch, ["gen", "--exhaustive", "8"])
         assert code == 2 and err
+
+    def test_negative_vertex_count_exits_2_with_one_line(self, capsys,
+                                                          monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["gen", "--random", "-3", "3", "1"])
+        assert (code, out) == (2, "")
+        assert err == "kextend gen: vertex count must be nonnegative\n"
 
 
 class TestConvert:
@@ -386,3 +422,49 @@ class TestConvert:
                                ["convert", "--from", "g6", "--to", "g6"],
                                stdin=stdin)
         assert code == 0 and out == stdin
+
+    def test_empty_g6_input_prints_nothing(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["convert", "--from", "g6", "--to", "g6"])
+        assert (code, out, err) == (0, "", "")
+
+    def test_graph_beyond_graph6_exits_2_with_one_line(self, capsys,
+                                                        monkeypatch):
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["convert", "--from", "edges", "--to", "g6"],
+            stdin=to_edge_list(path_graph(63)))
+        assert (code, out) == (2, "")
+        assert err == ("kextend convert: graph6 short form supports "
+                       "n <= 62, got n=63\n")
+
+
+class TestClosedStdout:
+    """A reader that stops early closes the pipe under the writer: exit 2,
+    nothing on stderr, and nothing from the interpreter's last flush."""
+
+    def read_one_line(self, tmp_path, *argv: str) -> tuple[int, str]:
+        # 32,768 lines overfill the pipe, so the writer is still writing
+        # when the pipe closes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kextend.cli", *argv],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=subprocess_env(),
+            cwd=tmp_path)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert first.strip()
+        return proc.returncode, err
+
+    def test_gen(self, tmp_path):
+        assert self.read_one_line(tmp_path, "gen", "--exhaustive",
+                                  "6") == (2, "")
+
+    def test_convert(self, tmp_path):
+        corpus = tmp_path / "all6.g6"
+        corpus.write_text("".join(
+            to_graph6(g) + "\n"
+            for g in verifier.generate_corpus(
+                verifier.CorpusSpec(mode="exhaustive", n=6))))
+        assert self.read_one_line(tmp_path, "convert", "--from", "g6",
+                                  "--to", "g6", str(corpus)) == (2, "")

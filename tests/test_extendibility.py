@@ -325,6 +325,28 @@ class TestBipartiteChecker:
                 if theirs.witness is not None:
                     assert extends_to_perfect(g, theirs.witness) is None
 
+    def test_no_verdict_equals_definitional_certificate(self):
+        # a surplus violator does not pick the witness: every no-verdict
+        # carries the definitional reason and least blocked matching
+        rng = SplitMix64(32)
+        sample = [seeded_random_bipartite(3 + trial % 4, rng,
+                                          (0.3, 0.5, 0.7)[trial % 3])
+                  for trial in range(1500)]
+        no_verdicts = 0
+        for g in [*exhaustive_graphs(6), *sample]:
+            bp = bipartition(g)
+            if not isinstance(bp, Bipartition) or len(bp.x) != len(bp.y):
+                continue
+            for k in range(1, (g.n - 2) // 2 + 1):
+                theirs = is_k_extendible_bipartite(g, bp, k)
+                if theirs.verdict:
+                    continue
+                ours = is_k_extendible(g, k)
+                assert (theirs.verdict, theirs.reason, theirs.witness) == \
+                    (ours.verdict, ours.reason, ours.witness), (g, k)
+                no_verdicts += 1
+        assert no_verdicts > 1000
+
 
 class TestPeel:
     def test_k33_any_edge(self, k33):
