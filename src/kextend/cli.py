@@ -159,7 +159,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.dst == "g6":
         for g in graphs:
             print(to_graph6(g))
-    else:
+    elif graphs:
         # edge-list documents, blank-line separated when streaming
         print("\n\n".join(to_edge_list(g) for g in graphs))
     return 0

@@ -5,7 +5,14 @@ split-vertex digraph, kept implicit: node 2v is v's in-side, 2v+1 its
 out-side, and ``pred[v]`` is the vertex whose path enters v, or -1 while v
 is free.  The source-side residual cut, read off the last, failed search,
 is the same for every maximum flow, so it is the canonical witness: the
-minimum separator closest to the source.  Pairs scan in ascending order.
+minimum separator closest to the source.
+
+Whether the connectivity is at least k is a threshold test after S. Even
+(SIAM J. Comput. 1975): flows stop at k, and only the pairs from each of
+the first k vertices to its non-neighbours above it run, O(k n) flows in
+all.  The full connectivity scans every non-adjacent pair in ascending
+order for its canonical witness; it is computed only where that witness
+is reported.
 """
 
 from __future__ import annotations
@@ -72,21 +79,26 @@ def vertex_connectivity(g: Graph) -> tuple[int, Optional[CutWitness]]:
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
+    """Whether g has at least k + 1 vertices and no separator of fewer
+    than k vertices, by Even's test.  A separator S with |S| < k misses
+    some s < k, and S cuts s from some non-adjacent w; when w < s, w < k
+    as well, so the flow from min(s, w) to max(s, w) sees S.  Each flow
+    stops once k paths are found."""
     if k < 0:
         raise ValueError("connectivity level must be nonnegative")
-    if g.n == 0:
-        return False
     if g.n < k + 1:
         return False
-    return vertex_connectivity(g)[0] >= k
+    return all(_pair_cut(g, s, t, limit=k) is None
+               for s in range(k) for t in range(s + 1, g.n)
+               if not g.adj[s] >> t & 1)
 
 
 def _pair_cut(g: Graph, s: int, t: int,
               limit: int | None = None) -> tuple[int, ...] | None:
     """Source-side minimum s-t vertex cut for distinct non-adjacent s, t,
     by augmenting BFS on the implicit split digraph.  With ``limit``, gives
-    up (returns None) once the flow value reaches it, since such a cut
-    cannot improve on the current best."""
+    up (returns None) once the flow value reaches it: such a cut cannot
+    improve on the current best, nor fall below a threshold."""
     pred = [-1] * g.n
     source, sink = 2 * s + 1, 2 * t
     flow = 0

@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
-from .connectivity import CutWitness, vertex_connectivity
+from .connectivity import CutWitness, is_k_connected, vertex_connectivity
 from .graphs import (
     Bipartition,
     Edge,
@@ -100,12 +100,15 @@ class HallViolator:
 class GraphFacts:
     """What is asked about one graph, each fact computed at most once, on
     first use.  Each equals its one-shot library call on the same graph:
-    ``perfect`` is has_perfect_matching and ``connectivity`` is
-    vertex_connectivity.  One maximum matching feeds every matching fact."""
+    ``perfect`` is has_perfect_matching, ``is_k_connected(k)`` is the
+    threshold test is_k_connected and ``connectivity`` is
+    vertex_connectivity, the full value and witness, read only where the
+    witness is reported.  One maximum matching feeds every matching fact."""
 
     def __init__(self, g: Graph):
         self.g = g
         self._certificates: dict[int, ExtendibilityCertificate] = {}
+        self._k_connected: dict[int, bool] = {}
 
     @cached_property
     def connected(self) -> bool:
@@ -134,7 +137,11 @@ class GraphFacts:
         return vertex_connectivity(self.g)
 
     def is_k_connected(self, k: int) -> bool:
-        return self.g.n >= k + 1 and self.connectivity[0] >= k
+        """The threshold test is_k_connected, memoized per level."""
+        answer = self._k_connected.get(k)
+        if answer is None:
+            answer = self._k_connected[k] = is_k_connected(self.g, k)
+        return answer
 
     def _unmet_precondition(self, k: int
                             ) -> Optional[ExtendibilityCertificate]:

@@ -339,6 +339,24 @@ class TestSmallGraphsScript:
                                "an integer, got 'abc'\n")
 
 
+class TestNamedInstancesScript:
+    def test_invariant_table(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable,
+             str(ROOT / "scripts" / "analyze_named_instances.py")],
+            capture_output=True, text=True, env=subprocess_env(),
+            cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = {fields[0]: tuple(fields[2:])
+                for fields in map(str.split, proc.stdout.splitlines()[2:])
+                if not fields[0].startswith("k=")}
+        assert rows == {
+            "C4": ("2", "2", "1"), "P4": ("1", "2", "0"),
+            "C6": ("2", "3", "1"), "C8": ("2", "4", "1"),
+            "K33": ("3", "3", "2"), "K44": ("4", "4", "3"),
+            "Petersen": ("3", "5", "1")}
+
+
 class TestGen:
     def test_exhaustive_3_has_8_lines(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, ["gen", "--exhaustive", "3"])
@@ -426,6 +444,12 @@ class TestConvert:
     def test_empty_g6_input_prints_nothing(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, monkeypatch,
                                  ["convert", "--from", "g6", "--to", "g6"])
+        assert (code, out, err) == (0, "", "")
+
+    def test_empty_g6_input_to_edges_prints_nothing(self, capsys,
+                                                    monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["convert", "--from", "g6", "--to", "edges"])
         assert (code, out, err) == (0, "", "")
 
     def test_graph_beyond_graph6_exits_2_with_one_line(self, capsys,

@@ -90,6 +90,15 @@ class TestIsKConnected:
     def test_needs_enough_vertices(self):
         assert not is_k_connected(complete_graph(3), 3)
 
+    def test_threshold_agrees_with_oracle(self):
+        """Even's pair selection against the exponential oracle at every
+        level from 0 to n + 1."""
+        for g in _threshold_graphs():
+            kappa = brute_force_vertex_connectivity(g) if g.n else 0
+            for k in range(g.n + 2):
+                assert is_k_connected(g, k) == (g.n >= k + 1
+                                                and kappa >= k), (g, k)
+
     @given(graphs(max_n=8, min_n=1))
     @settings(max_examples=60)
     def test_monotone_in_k(self, g):
@@ -127,6 +136,15 @@ class TestMinVertexCut:
             _check_cut(g, out)
             assert len(out.cut) == _brute_force_separator_size(g, u, v)
             checked += 1
+
+
+def _threshold_graphs():
+    for n in range(7):
+        yield from exhaustive_graphs(n)
+    rng = SplitMix64(1975)
+    for trial in range(240):
+        yield seeded_random_graph(7 + trial % 4, rng,
+                                  p=(0.3, 0.5, 0.8)[trial % 3])
 
 
 def _same_component(g, pair):

@@ -18,7 +18,6 @@ from kextend import (
     generate_corpus,
     has_perfect_matching,
     is_connected,
-    is_k_connected,
     is_k_extendible,
     matching_number,
     path_graph,
@@ -153,13 +152,15 @@ class TestGraphFacts:
                     assert ((cert.verdict, cert.reason, witness)
                             == brute_force_is_k_extendible(g, k)), (g, k)
                 assert facts.extendibility_number == extendibility_number(g)
+                kappa = 0
                 if n:
                     kappa, witness = vertex_connectivity(g)
                     assert facts.connectivity[0] == kappa
                     assert (cut_witness_json(facts.connectivity[1])
                             == cut_witness_json(witness))
                 for k in range(n + 2):
-                    assert facts.is_k_connected(k) == is_k_connected(g, k)
+                    assert facts.is_k_connected(k) == (n >= k + 1
+                                                       and kappa >= k)
                 assert facts.connected == is_connected(g)
                 assert facts.matching_number == matching_number(g)
                 assert facts.perfect == has_perfect_matching(g)
@@ -169,6 +170,51 @@ class TestGraphFacts:
         facts = GraphFacts(k33)
         assert facts.certificate(2) is facts.certificate(2)
         assert GraphFacts(k33).certificate(2) is not facts.certificate(2)
+
+
+def _recorded(monkeypatch, name):
+    """Arguments of each call to the ``name`` that extendibility binds."""
+    calls = []
+    fn = getattr(extendibility, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(extendibility, name, recorded)
+    return calls
+
+
+class TestThresholdConnectivity:
+    """P22 and T31 ask the threshold test; the full connectivity and its
+    witness are computed only for a violation payload."""
+
+    def test_clean_run_computes_no_full_connectivity(self, monkeypatch):
+        thresholds = _recorded(monkeypatch, "is_k_connected")
+        full = _recorded(monkeypatch, "vertex_connectivity")
+        for spec in (CorpusSpec(mode="exhaustive", n=5),
+                     CorpusSpec(mode="random", n=10, count=60, seed=3)):
+            report = run_corpus(spec, PROPERTY_IDS, kmax=3, workers=1)
+            assert report.violations == ()
+        assert thresholds and full == []
+
+    def test_levels_are_memoized_across_properties(self, monkeypatch, k33):
+        thresholds = _recorded(monkeypatch, "is_k_connected")
+        facts = GraphFacts(k33)
+        assert PROPERTIES["P22"](facts, 2) == (HOLDS, None)
+        assert PROPERTIES["T31"](facts, 2) == (HOLDS, None)
+        assert [k for _, k in thresholds] == [2, 3]
+
+    def test_violation_payload_carries_full_connectivity(self, monkeypatch,
+                                                        c6, k33):
+        monkeypatch.setattr(extendibility, "is_k_connected",
+                            lambda g, k: False)
+        for g in (c6, k33, cycle_graph(8)):
+            kappa, witness = vertex_connectivity(g)
+            payload = {"connectivity": kappa,
+                       "cut_witness": cut_witness_json(witness)}
+            assert check("P22", g, 2) == (VIOLATED, payload)
+            assert check("T31", g, 2) == (VIOLATED, {"k": 1, **payload})
 
 
 def _relabeled(g, rng):
