@@ -9,6 +9,11 @@ Subcommands:
 * ``gen``: write a corpus as graph6 lines.
 * ``convert``: translate between graph6 and edge-list text.
 
+``analyze``, ``convert`` and ``verify --input`` read graphs through the one
+reader verifier.read_graphs: an input that cannot be opened reads
+``<path>: <reason>`` and a malformed graph6 line, a non-ASCII byte
+included, ``<path>:<line>: <reason>``, with "-" for standard input.
+
 Exit codes: 0 clean, 1 property violation found, 2 usage or input error.
 The ``cmd_*`` functions return 0 or 1, or raise; ``main`` alone turns an
 exception into one stderr line and exit 2, and a stdout closed by its
@@ -23,21 +28,11 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional, TextIO
+from typing import Any, Optional
 
 from . import __version__
 from .extendibility import GraphFacts
-from .graphs import (
-    Bipartition,
-    Graph,
-    GraphParseError,
-    min_degree,
-    parse_edge_list,
-    parse_graph6,
-    to_edge_list,
-    to_graph6,
-)
+from .graphs import Bipartition, Graph, min_degree, to_edge_list, to_graph6
 from .jsonio import (
     bipartition_json,
     certificate_json,
@@ -49,6 +44,7 @@ from .verifier import (
     PROPERTY_IDS,
     CorpusSpec,
     generate_corpus,
+    read_graphs,
     report_json,
     run_corpus,
 )
@@ -83,36 +79,11 @@ def analysis_record(g: Graph, kmax: int) -> dict[str, Any]:
     return record
 
 
-def _read_graphs(handle: TextIO, fmt: str) -> Iterator[Graph]:
-    if fmt == "g6":
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                yield parse_graph6(stripped)
-            except GraphParseError as exc:
-                raise GraphParseError(f"line {lineno}: {exc}",
-                                      line=lineno) from exc
-    else:
-        yield parse_edge_list(handle.read())
-
-
-@contextmanager
-def _open_input(path: str) -> Iterator[TextIO]:
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="ascii") as handle:
-            yield handle
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    with _open_input(args.input) as handle:
-        for g in _read_graphs(handle, args.format):
-            print(json.dumps(analysis_record(g, args.kmax)))
+    for g in read_graphs(args.input, args.format):
+        print(json.dumps(analysis_record(g, args.kmax)))
     return 0
 
 
@@ -154,8 +125,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    with _open_input(args.input) as handle:
-        graphs = list(_read_graphs(handle, args.src))
+    graphs = list(read_graphs(args.input, args.src))
     if args.dst == "g6":
         for g in graphs:
             print(to_graph6(g))
@@ -240,9 +210,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE_ERROR
     except (OSError, ValueError) as exc:
         message = str(exc)
-        if args.input is not None and isinstance(
-                exc, (OSError, UnicodeDecodeError)):
-            message = f"{args.input}: {getattr(exc, 'strerror', None) or exc}"
+        if isinstance(exc, OSError) and args.input is not None:
+            message = f"{args.input}: {exc.strerror or exc}"
         print(f"kextend {args.command}: {message}", file=sys.stderr)
         return USAGE_ERROR
 

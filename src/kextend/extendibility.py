@@ -103,10 +103,13 @@ class GraphFacts:
     ``perfect`` is has_perfect_matching, ``is_k_connected(k)`` is the
     threshold test is_k_connected and ``connectivity`` is
     vertex_connectivity, the full value and witness, read only where the
-    witness is reported.  One maximum matching feeds every matching fact."""
+    witness is reported.  One maximum matching feeds every matching fact.
+    ``size_bound`` is (n-2)/2 rounded down, the highest level that the size
+    condition n >= 2k + 2 admits."""
 
     def __init__(self, g: Graph):
         self.g = g
+        self.size_bound = (g.n - 2) // 2
         self._certificates: dict[int, ExtendibilityCertificate] = {}
         self._k_connected: dict[int, bool] = {}
 
@@ -147,7 +150,7 @@ class GraphFacts:
                             ) -> Optional[ExtendibilityCertificate]:
         """The no-certificate for the first failed condition among size,
         connectivity and perfect matching, in that order, else None."""
-        if self.g.n < 2 * k + 2:
+        if k > self.size_bound:
             return ExtendibilityCertificate(False, k, reason=SIZE_TOO_SMALL)
         if not self.connected:
             return ExtendibilityCertificate(False, k, reason=DISCONNECTED)
@@ -169,9 +172,9 @@ class GraphFacts:
     @cached_property
     def extendibility_number(self) -> Optional[int]:
         """Largest k for which the graph is k-extendible, or None when it is
-        not even 0-extendible.  Every level up to the size bound (n-2)/2 is
-        checked outright, so monotonicity is never assumed."""
-        passing = [k for k in range((self.g.n - 2) // 2 + 1)
+        not even 0-extendible.  Every level up to the size bound is checked
+        outright, so monotonicity is never assumed."""
+        passing = [k for k in range(self.size_bound + 1)
                    if self.certificate(k).verdict]
         return max(passing) if passing else None
 

@@ -15,6 +15,7 @@ from typing import Optional
 from .extendibility import (
     BLOCKED_MATCHING,
     DISCONNECTED,
+    HALL_SCAN_MAX_SIDE,
     NO_PERFECT_MATCHING,
     SIZE_TOO_SMALL,
 )
@@ -118,8 +119,8 @@ def brute_force_deficiency(g: Graph, bp: Bipartition) -> int:
     """max over S subseteq X of |S| - |N(S)|, scanning all 2^|X| subsets.
     The empty set contributes 0, so the result is never negative."""
     check_bipartition(g, bp)
-    if len(bp.x) > 20:
-        raise ValueError("subset scan limited to |X| <= 20")
+    if len(bp.x) > HALL_SCAN_MAX_SIDE:
+        raise ValueError(f"subset scan limited to |X| <= {HALL_SCAN_MAX_SIDE}")
     best = 0
     for size in range(1, len(bp.x) + 1):
         for subset in combinations(bp.x, size):

@@ -14,7 +14,9 @@ Corpora come in three modes: exhaustive (all labeled graphs on n <= 7
 vertices, in increasing order of the upper-triangle edge code), random
 (independent G(n, p) draws from the SplitMix64 stream, one draw per
 vertex pair in sorted order), and external (a graph6 file, one graph per
-line, or standard input for "-").
+line, or standard input for "-").  read_graphs is the one reader of graph
+input, for the external mode here and for the analyze and convert
+subcommands.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import Pool
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .extendibility import (
@@ -38,6 +40,7 @@ from .graphs import (
     Graph,
     GraphParseError,
     from_edges,
+    parse_edge_list,
     parse_graph6,
     to_graph6,
 )
@@ -127,29 +130,33 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
         for _ in range(spec.count):
             yield random_graph(spec.n, rng, spec.edge_probability)
     else:
-        with _open_graph6(spec.source) as handle:
-            for lineno, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    yield parse_graph6(stripped)
-                except GraphParseError as exc:
-                    if spec.strict:
-                        raise GraphParseError(
-                            f"{spec.source}:{lineno}: {exc}",
-                            line=lineno) from exc
-                    continue
+        yield from read_graphs(spec.source, strict=spec.strict)
 
 
-def _open_graph6(source: str) -> TextIO:
-    """The graph6 stream at ``source``, or standard input for "-" (left
-    open on close).  Decoded as ASCII with surrogate escapes, so a
-    non-ASCII byte reaches parse_graph6, which names its offset."""
-    if source == "-":
-        return open(sys.stdin.fileno(), "r", encoding="ascii",
-                    errors="surrogateescape", closefd=False)
-    return open(source, "r", encoding="ascii", errors="surrogateescape")
+def read_graphs(source: str, fmt: str = "g6",
+                strict: bool = True) -> Iterator[Graph]:
+    """The graphs in the file at ``source``, or on standard input for "-"
+    (left open).  Decoded as ASCII with surrogate escapes, so a non-ASCII
+    byte reaches the parser, which names it.  In "g6" format each nonblank
+    line is one graph, and a malformed line raises GraphParseError
+    "SOURCE:LINE: reason", or is skipped when ``strict`` is off; in "edges"
+    format the whole stream is one edge-list document."""
+    stdin = source == "-"
+    with open(sys.stdin.fileno() if stdin else source, "r", encoding="ascii",
+              errors="surrogateescape", closefd=not stdin) as handle:
+        if fmt == "edges":
+            yield parse_edge_list(handle.read())
+            return
+        for lineno, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                yield parse_graph6(stripped)
+            except GraphParseError as exc:
+                if strict:
+                    raise GraphParseError(f"{source}:{lineno}: {exc}",
+                                          line=lineno) from exc
 
 
 # (status, detail) of one property on one graph
@@ -159,9 +166,9 @@ TaskResult = tuple[Optional[str], list[tuple[str, str, Any]]]
 
 
 def _top_level(facts: GraphFacts, kmax: int) -> int:
-    """The highest level up to kmax that the size bound (n-2)/2 admits;
-    every level above it is SizeTooSmall."""
-    return min(kmax, (facts.g.n - 2) // 2)
+    """The highest level up to kmax that the size bound admits; every level
+    above it is SizeTooSmall."""
+    return min(kmax, facts.size_bound)
 
 
 def _extendible_levels(facts: GraphFacts, first: int, kmax: int) -> list[int]:
@@ -316,7 +323,7 @@ def _extendibility_profile(facts: GraphFacts, kmax: int) -> Outcome:
     ext = facts.extendibility_number
     if ext is None:
         return INAPPLICABLE, {"reason": "not 0-extendible"}
-    bound = (facts.g.n - 2) // 2
+    bound = facts.size_bound
     if ext > bound:
         return VIOLATED, {"extendibility_number": ext, "size_bound": bound}
     for k in range(bound + 1):

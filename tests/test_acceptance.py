@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -293,8 +294,9 @@ def test_criterion_8_determinism_across_runs_and_workers(tmp_path):
 def test_criterion_9_cli_contract(capsys, monkeypatch, tmp_path):
     # exit 0: clean verification
     monkeypatch.setenv("KEXTEND_WORKERS", "1")
-    monkeypatch.setattr("sys.stdin", _stdin("Cl\nCh\nDhc\n"))
-    assert cli.main(["analyze"]) == 0
+    with _stdin("Cl\nCh\nDhc\n") as stdin:
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert cli.main(["analyze"]) == 0
     for line in capsys.readouterr().out.strip().splitlines():
         jsonschema.validate(json.loads(line), ANALYSIS_SCHEMA)
     assert cli.main(["verify", "--exhaustive", "4", "--kmax", "2"]) == 0
@@ -314,13 +316,18 @@ def test_criterion_9_cli_contract(capsys, monkeypatch, tmp_path):
     # exit 2: usage and parse errors
     monkeypatch.setenv("KEXTEND_WORKERS", "1")
     assert cli.main(["gen", "--exhaustive", "8"]) == 2
-    monkeypatch.setattr("sys.stdin", _stdin("~nope\n"))
-    assert cli.main(["analyze"]) == 2
+    with _stdin("~nope\n") as stdin:
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert cli.main(["analyze"]) == 2
     capsys.readouterr()
     announce(9, "exit codes 0/1/2 and JSON schema validation hold on golden "
                 "outputs")
 
 
 def _stdin(text: str):
-    import io
-    return io.StringIO(text)
+    """A real temporary file holding ``text``, since "-" is read through
+    the standard-input file descriptor."""
+    handle = tempfile.TemporaryFile("w+")
+    handle.write(text)
+    handle.seek(0)
+    return handle

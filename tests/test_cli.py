@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -32,9 +32,14 @@ ANALYSIS_SCHEMA = json.loads((SCHEMA_DIR / "analysis.json").read_text())
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.json").read_text())
 
 
-def run_cli(capsys, monkeypatch, argv, stdin=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    code = cli.main(argv)
+def run_cli(capsys, monkeypatch, argv, stdin: str | bytes = ""):
+    """cli.main with ``stdin`` on a real temporary file, since "-" is read
+    through the standard-input file descriptor."""
+    with tempfile.TemporaryFile() as handle:
+        handle.write(stdin.encode() if isinstance(stdin, str) else stdin)
+        handle.seek(0)
+        monkeypatch.setattr("sys.stdin", handle)
+        code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -80,7 +85,8 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, monkeypatch, ["analyze"],
                                  stdin="A_\n~oops\n")
         assert code == 2
-        assert "line 2" in err
+        assert err == ("kextend analyze: -:2: long-form graph6 header "
+                       "(n > 62) is not supported\n")
 
     def test_edge_list_format(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch,
@@ -103,9 +109,8 @@ class TestAnalyze:
         path.write_bytes(b"A_\nB\xe9\n")
         code, _, err = run_cli(capsys, monkeypatch, ["analyze", str(path)])
         assert code == 2
-        assert err.startswith(f"kextend analyze: {path}: ")
-        assert "can't decode byte 0xe9" in err
-        assert len(err.splitlines()) == 1
+        assert err == (f"kextend analyze: {path}:2: "
+                       "non-ascii byte in graph6 string\n")
 
     def test_schema_on_varied_graphs(self, capsys, monkeypatch):
         stdin = "\n".join(["?", "A?", "A_", "Bw", "Cl", "D?{",
@@ -250,31 +255,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["graphs_processed"] == 2
 
-    def test_external_stdin(self, capsys, monkeypatch, tmp_path):
-        # '-' reads standard input through its file descriptor, so each run
-        # puts a real file in its place
+    def test_external_stdin(self, capsys, monkeypatch):
         monkeypatch.setenv("KEXTEND_WORKERS", "1")
-
-        def piped(data: bytes, *flags: str):
-            src = tmp_path / "piped.g6"
-            src.write_bytes(data)
-            with src.open() as handle:
-                monkeypatch.setattr("sys.stdin", handle)
-                code = cli.main(["verify", "--input", "-", *flags,
-                                 "--properties", "KO"])
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
-        code, out, err = piped(b"Cl\n")
+        argv = ["verify", "--input", "-", "--properties", "KO"]
+        code, out, err = run_cli(capsys, monkeypatch, argv, stdin=b"Cl\n")
         report = json.loads(out)
         assert code == 0 and err == ""
         assert report["corpus"]["source"] == "-"
         assert report["graphs_processed"] == 1
         assert report["properties"]["KO"]["holds"] == 1
-        code, out, err = piped(b"Cl\nCh\xe9\nCh\n")
+        code, out, err = run_cli(capsys, monkeypatch, argv,
+                                 stdin=b"Cl\nCh\xe9\nCh\n")
         assert code == 2 and out == ""
         assert err == "kextend verify: -:2: non-ascii byte in graph6 string\n"
-        code, out, _ = piped(b"Cl\nCh\xe9\nCh\n", "--no-strict")
+        code, out, _ = run_cli(capsys, monkeypatch, [*argv, "--no-strict"],
+                               stdin=b"Cl\nCh\xe9\nCh\n")
         assert code == 0
         assert json.loads(out)["graphs_processed"] == 2
 
@@ -418,8 +413,8 @@ class TestConvert:
             capsys, monkeypatch,
             ["convert", "--from", "g6", "--to", "g6", str(path)])
         assert code == 2 and out == ""
-        assert err.startswith(f"kextend convert: {path}: ")
-        assert "can't decode byte 0xff" in err
+        assert err == (f"kextend convert: {path}:1: "
+                       "non-ascii byte in graph6 string\n")
 
     def test_round_trip_identity(self, capsys, monkeypatch):
         lines = [to_graph6(cycle_graph(n)) for n in range(3, 9)]
@@ -460,6 +455,48 @@ class TestConvert:
         assert (code, out) == (2, "")
         assert err == ("kextend convert: graph6 short form supports "
                        "n <= 62, got n=63\n")
+
+
+class TestOneReader:
+    """analyze, convert and verify --input read graphs through one reader,
+    so one malformed input gives one message, from a file or from stdin."""
+
+    BAD = b"Cl\nCh\xe9\n"
+    COMMANDS = (["analyze"], ["convert", "--from", "g6", "--to", "g6"],
+                ["verify", "--properties", "KO", "--input"])
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_file_and_stdin_give_one_message(self, capsys, monkeypatch,
+                                             tmp_path, argv):
+        monkeypatch.setenv("KEXTEND_WORKERS", "1")
+        path = tmp_path / "latin.g6"
+        path.write_bytes(self.BAD)
+        for src, stdin in ((str(path), b""), ("-", self.BAD)):
+            code, _, err = run_cli(capsys, monkeypatch, [*argv, src],
+                                   stdin=stdin)
+            assert code == 2
+            assert err == (f"kextend {argv[0]}: {src}:2: "
+                           "non-ascii byte in graph6 string\n")
+
+    def test_stdin_message_does_not_depend_on_its_encoding(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kextend.cli", "analyze"],
+            input=self.BAD, capture_output=True, timeout=120,
+            env=subprocess_env(PYTHONIOENCODING="utf-8:strict"))
+        assert proc.returncode == 2
+        assert proc.stdout.count(b"\n") == 1
+        assert proc.stderr == (b"kextend analyze: -:2: "
+                               b"non-ascii byte in graph6 string\n")
+
+    def test_edge_list_names_the_line_of_a_non_ascii_byte(
+            self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"4\n0 1\n1 2\xe9\n")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["analyze", "--format", "edges", str(path)])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("kextend analyze: line 3: ")
 
 
 class TestClosedStdout:
