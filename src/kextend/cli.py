@@ -11,8 +11,8 @@ Subcommands:
 
 ``analyze``, ``convert`` and ``verify --input`` read graphs through the one
 reader verifier.read_graphs: an input that cannot be opened reads
-``<path>: <reason>`` and a malformed graph6 line, a non-ASCII byte
-included, ``<path>:<line>: <reason>``, with "-" for standard input.
+``<path>: <reason>`` and a malformed graph6 or edge-list line, a non-ASCII
+byte included, ``<path>:<line>: <reason>``, with "-" for standard input.
 
 Exit codes: 0 clean, 1 property violation found, 2 usage or input error.
 The ``cmd_*`` functions return 0 or 1, or raise; ``main`` alone turns an

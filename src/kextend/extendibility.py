@@ -8,15 +8,17 @@ deterministic; the 0-extendible case reduces to the first three conditions
 because the only size-0 matching is empty.
 
 Whether a matching M extends depends only on V(M), the vertices it
-covers, so a level is decided once per covered vertex set: each new set is
-tested from one perfect matching of the graph, keeping its edges that
-avoid the set and augmenting from the at most 2k vertices left exposed.
-The walk over size-k matchings stays lexicographic, so the blocked
-witness is the least blocked matching.  The exhibited extensions come
-from extends_to_perfect, computed when ``exhibit`` is first read.
+covers, so a level is decided once per covered vertex set.  The walk over
+size-k matchings is lexicographic, so the blocked witness is the least
+blocked matching, and it carries a stack: depth d holds a perfect matching
+of G - V(prefix), derived from depth d - 1's by one short alternating-path
+step when a leaf below first misses the memo.  A prefix whose step fails
+has no perfect matching left, so every leaf below it is blocked.  The
+exhibited extensions come from extends_to_perfect, computed when
+``exhibit`` is first read.
 
 GraphFacts is the one entry to that engine: it answers the preconditions
-from the facts it holds and warm-starts every level from one maximum
+from the facts it holds and starts every level's stack from one maximum
 matching.  The one-shots and the bipartite checker each build one; the
 bipartite checker takes its verdict from the surplus scan below and its
 blocked witness from the engine.
@@ -50,8 +52,7 @@ from .graphs import (
 from .matching import (
     Matching,
     _mask_maximum_matching,
-    _perfect_after_removing,
-    _walk_matchings,
+    _perfect_without_pair,
     extends_to_perfect,
 )
 
@@ -187,21 +188,61 @@ def is_k_extendible(g: Graph, k: int) -> ExtendibilityCertificate:
 
 def _certificate(g: Graph, k: int, base: list[int]
                  ) -> ExtendibilityCertificate:
-    """Walk the size-k matchings of g, which meets every precondition,
-    deciding each covered vertex set once from the perfect match ``base``."""
-    # covered mask -> extends; the empty cover extends to base itself
-    extends = {0: True}
+    """Walk the size-k matchings of g, which meets every precondition, in
+    lexicographic order.  matches[d] is a perfect match of G - V(chosen[:d])
+    from matches[d - 1] by _perfect_without_pair, computed only when a leaf
+    below misses the memo; None blocks every leaf below."""
+    if k == 0:
+        return ExtendibilityCertificate(True, 0, exhibited=((),), graph=g)
+    adj, n = g.adj, g.n
+    extends: dict[int, bool] = {}  # covered mask -> extends
     exhibited: list[tuple[Edge, ...]] = []
-    for covered, edges in _walk_matchings(g, k):
-        ok = extends.get(covered)
-        if ok is None:
-            ok = extends[covered] = _perfect_after_removing(g.adj, g.n,
-                                                            covered, base)
-        if not ok:
-            return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
-                                            witness=Matching(edges))
-        if len(exhibited) < EXHIBIT_LIMIT:
-            exhibited.append(edges)
+    chosen: list[Edge] = [(0, 0)] * k
+    frees = [(1 << n) - 1] * k  # vertices outside each depth's prefix
+    matches: list[Optional[list[int]]] = [base] * (k + 1)
+    ready = 1  # matches[:ready] belong to the current prefix
+
+    def blocked_below(d: int, lo: int) -> bool:
+        """Walk the extensions of chosen[:d] by edges (u, v), lo <= u < v."""
+        nonlocal ready
+        free, need, leaf = frees[d], 2 * (k - d), d + 1 == k
+        us = free >> lo << lo
+        while us:
+            u = (us & -us).bit_length() - 1
+            if (free >> u).bit_count() < need:
+                break
+            us &= us - 1
+            vs = adj[u] & free >> u + 1 << u + 1
+            while vs:
+                low = vs & -vs
+                vs ^= low
+                chosen[d] = (u, low.bit_length() - 1)
+                if ready > d + 1:
+                    ready = d + 1
+                if not leaf:
+                    frees[d + 1] = free & ~(1 << u | low)
+                    if blocked_below(d + 1, u + 1):
+                        return True
+                    continue
+                covered = frees[0] & ~free | 1 << u | low
+                ok = extends.get(covered)
+                if ok is None:
+                    match = matches[ready - 1]
+                    while ready <= k and match is not None:
+                        x, y = chosen[ready - 1]
+                        match = matches[ready] = _perfect_without_pair(
+                            adj, n, frees[ready - 1], match, x, y)
+                        ready += 1
+                    ok = extends[covered] = match is not None
+                if not ok:
+                    return True
+                if len(exhibited) < EXHIBIT_LIMIT:
+                    exhibited.append(tuple(chosen))
+        return False
+
+    if blocked_below(0, 0):
+        return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
+                                        witness=Matching(tuple(chosen)))
     return ExtendibilityCertificate(True, k, exhibited=tuple(exhibited),
                                     graph=g)
 

@@ -226,50 +226,41 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n" followed by "u v" lines.  Blank lines are skipped."""
-    lines = text.splitlines()
+    """Parse "n" followed by "u v" lines.  Blank lines are skipped.  An
+    error names its reason, and its 1-based line in ``line``."""
     n: Optional[int] = None
-    header_line = 0
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
         if n is None:
             if len(tokens) != 1:
-                raise GraphParseError(
-                    f"line {lineno}: header must be a single vertex count",
-                    line=lineno)
+                raise GraphParseError("header must be a single vertex count",
+                                      line=lineno)
             try:
                 n = int(tokens[0])
             except ValueError:
-                raise GraphParseError(
-                    f"line {lineno}: vertex count {tokens[0]!r} is not an "
-                    f"integer", line=lineno) from None
+                raise GraphParseError(f"vertex count {tokens[0]!r} is not an "
+                                      f"integer", line=lineno) from None
             if n < 0:
-                raise GraphParseError(f"line {lineno}: negative vertex count",
-                                      line=lineno)
-            header_line = lineno
+                raise GraphParseError("negative vertex count", line=lineno)
             continue
         if len(tokens) != 2:
-            raise GraphParseError(
-                f"line {lineno}: expected 'u v', got {raw!r}", line=lineno)
+            raise GraphParseError(f"expected 'u v', got {raw!r}", line=lineno)
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise GraphParseError(
-                f"line {lineno}: non-integer endpoint in {raw!r}",
-                line=lineno) from None
+            raise GraphParseError(f"non-integer endpoint in {raw!r}",
+                                  line=lineno) from None
         if u == v:
-            raise GraphParseError(f"line {lineno}: self-loop at {u}",
-                                  line=lineno)
+            raise GraphParseError(f"self-loop at {u}", line=lineno)
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(
-                f"line {lineno}: endpoint out of range 0..{n - 1}",
-                line=lineno)
+            raise GraphParseError(f"endpoint out of range 0..{n - 1}",
+                                  line=lineno)
         edges.append((u, v))
     if n is None:
-        raise GraphParseError("missing vertex-count header", line=header_line)
+        raise GraphParseError("missing vertex-count header")
     return from_edges(n, edges)
 
 

@@ -7,6 +7,11 @@ alternating forest from the exposed vertices, contract odd cycles into
 their base via a ``base[]`` array, and recover an explicit augmenting
 path from the parent links.  All scans run in ascending vertex order so
 results are reproducible.
+
+_perfect_without_pair is the certificate walk's one step: from a perfect
+matching of the graph on a vertex mask it derives one of the mask minus
+the two ends of an edge, trying the direct edge and a length-3 path
+before it pays for a blossom search.
 """
 
 from __future__ import annotations
@@ -197,6 +202,38 @@ def _flip(match: list[int], path: list[int]) -> None:
         match[b] = a
 
 
+def _perfect_without_pair(adj: tuple[int, ...], n: int, mask: int,
+                          match: list[int], u: int, v: int
+                          ) -> list[int] | None:
+    """A perfect match of the graph on ``mask`` minus u and v, for an edge
+    uv inside ``mask``, derived in one step from ``match``, a perfect match
+    there with -1 outside ``mask``; None when there is none.  Dropping u
+    and v exposes at most their partners a and b.  They are rejoined by
+    the edge ab, else by a length-3 path a-x=y-b through a matched edge
+    xy, else by one augmenting-path search from a, which can only end at
+    b, so when it fails the match is maximum and not perfect."""
+    match = list(match)
+    a, b = match[u], match[v]
+    match[u] = match[v] = -1
+    if a == v:
+        return match
+    mask &= ~(1 << u | 1 << v)
+    match[a] = match[b] = -1
+    if adj[a] >> b & 1:
+        match[a], match[b] = b, a
+        return match
+    for x in bits(adj[a] & mask):
+        y = match[x]
+        if adj[b] >> y & 1:
+            match[a], match[x], match[y], match[b] = x, a, b, y
+            return match
+    path = _augmenting_path_from(adj, n, mask, match, a)
+    if path is None:
+        return None
+    _flip(match, path)
+    return match
+
+
 def _mask_maximum_matching(adj: tuple[int, ...], n: int, mask: int) -> list[int]:
     match = [-1] * n
     _greedy_seed(adj, mask, match)
@@ -286,53 +323,19 @@ def extends_to_perfect(g: Graph, m: Matching) -> Optional[Matching]:
     return Matching.of(list(m.edges) + rest)
 
 
-def _perfect_after_removing(adj: tuple[int, ...], n: int, removed: int,
-                            base: list[int]) -> bool:
-    """Whether the graph minus the vertices in ``removed`` has a perfect
-    matching, given ``base``, the match array of a perfect matching of the
-    whole graph.  The base edges that avoid ``removed`` stay; the at most
-    |removed| vertices they leave exposed are paired greedily, and each one
-    left over roots one augmenting-path search.  A root with no augmenting
-    path stays exposed in some maximum matching, so the answer is then no;
-    an odd remainder is answered at once."""
-    if removed.bit_count() % 2:
-        return False
-    match = list(base)
-    free = 0
-    for v in bits(removed):
-        match[v] = match[base[v]] = -1
-        free |= 1 << base[v]
-    free &= ~removed
-    mask = ((1 << n) - 1) & ~removed
-    while free:
-        low = free & -free
-        free ^= low
-        root = low.bit_length() - 1
-        partners = adj[root] & free
-        if partners:
-            low = partners & -partners
-            free ^= low
-            partner = low.bit_length() - 1
-            match[root] = partner
-            match[partner] = root
-            continue
-        path = _augmenting_path_from(adj, n, mask, match, root)
-        if path is None:
-            return False
-        _flip(match, path)
-        free &= ~(1 << path[0])
-    return True
-
-
-def _walk_matchings(g: Graph, k: int) -> Iterator[tuple[int, tuple[Edge, ...]]]:
-    """``(covered mask, canonical edges)`` of every matching of size exactly
-    k, in lexicographic order of the edge lists."""
+def enumerate_matchings(g: Graph, k: int) -> Iterator[Matching]:
+    """All matchings of size exactly k, each once, in lexicographic order
+    of their canonical edge lists.  k=0 yields only the empty matching.
+    It walks the sorted edge list, not the certificate engine's vertex
+    walk, so tests can hold that walk's order against it."""
+    if k < 0:
+        raise ValueError("matching size must be nonnegative")
     edges = list(g.edges())
 
     def extend(start: int, used: int, chosen: list[Edge]
-               ) -> Iterator[tuple[int, tuple[Edge, ...]]]:
+               ) -> Iterator[Matching]:
         if len(chosen) == k:
-            yield used, tuple(chosen)
+            yield Matching(tuple(chosen))
             return
         room = k - len(chosen)
         for i in range(start, len(edges) - room + 1):
@@ -345,15 +348,6 @@ def _walk_matchings(g: Graph, k: int) -> Iterator[tuple[int, tuple[Edge, ...]]]:
             chosen.pop()
 
     yield from extend(0, 0, [])
-
-
-def enumerate_matchings(g: Graph, k: int) -> Iterator[Matching]:
-    """All matchings of size exactly k, each once, in lexicographic order
-    of their canonical edge lists.  k=0 yields only the empty matching."""
-    if k < 0:
-        raise ValueError("matching size must be nonnegative")
-    for _, edges in _walk_matchings(g, k):
-        yield Matching(edges)
 
 
 def koenig_ore_deficiency(g: Graph, bp: Bipartition) -> DeficiencyWitness:

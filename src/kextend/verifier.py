@@ -140,12 +140,21 @@ def read_graphs(source: str, fmt: str = "g6",
     byte reaches the parser, which names it.  In "g6" format each nonblank
     line is one graph, and a malformed line raises GraphParseError
     "SOURCE:LINE: reason", or is skipped when ``strict`` is off; in "edges"
-    format the whole stream is one edge-list document."""
+    format the whole stream is one edge-list document, whose errors read
+    "SOURCE:LINE: reason" too.  A closed standard input is a ValueError."""
     stdin = source == "-"
+    if stdin and sys.stdin is None:
+        raise ValueError("standard input is closed")
     with open(sys.stdin.fileno() if stdin else source, "r", encoding="ascii",
               errors="surrogateescape", closefd=not stdin) as handle:
         if fmt == "edges":
-            yield parse_edge_list(handle.read())
+            try:
+                g = parse_edge_list(handle.read())
+            except GraphParseError as exc:
+                where = source if exc.line is None else f"{source}:{exc.line}"
+                raise GraphParseError(f"{where}: {exc}",
+                                      line=exc.line) from exc
+            yield g
             return
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()

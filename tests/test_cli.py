@@ -496,7 +496,17 @@ class TestOneReader:
                                  ["analyze", "--format", "edges", str(path)])
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
-        assert err.startswith("kextend analyze: line 3: ")
+        assert err.startswith(f"kextend analyze: {path}:3: ")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_closed_stdin_exits_2_with_one_line(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kextend.cli", *argv, "-"],
+            stdin=subprocess.DEVNULL, preexec_fn=lambda: os.close(0),
+            capture_output=True, text=True, timeout=120,
+            env=subprocess_env(KEXTEND_WORKERS="1"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"kextend {argv[0]}: standard input is closed\n"
 
 
 class TestClosedStdout:

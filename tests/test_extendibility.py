@@ -142,20 +142,25 @@ class TestCertificateEngine:
     ])
     def test_one_blossom_test_per_covered_set(self, monkeypatch, g, verdict,
                                               matchings, masks):
-        calls = []
-        helper = extendibility._perfect_after_removing
+        """Each covered 2k-set is decided at most once, by the one step that
+        removes its last edge, and every one is decided on a yes-verdict."""
+        k, full = 2, (1 << g.n) - 1
+        leaves = []
+        helper = extendibility._perfect_without_pair
 
-        def counted(adj, n, removed, base):
-            calls.append(removed)
-            return helper(adj, n, removed, base)
+        def counted(adj, n, mask, match, u, v):
+            removed = full & ~mask | 1 << u | 1 << v
+            if removed.bit_count() == 2 * k:
+                leaves.append(removed)
+            return helper(adj, n, mask, match, u, v)
 
-        monkeypatch.setattr(extendibility, "_perfect_after_removing", counted)
-        assert is_k_extendible(g, 2).verdict == verdict
-        covered = [m.covered_mask() for m in enumerate_matchings(g, 2)]
+        monkeypatch.setattr(extendibility, "_perfect_without_pair", counted)
+        assert is_k_extendible(g, k).verdict == verdict
+        covered = [m.covered_mask() for m in enumerate_matchings(g, k)]
         assert (len(covered), len(set(covered))) == (matchings, masks)
-        assert len(calls) == len(set(calls)) <= masks
+        assert len(leaves) == len(set(leaves)) <= masks
         if verdict:
-            assert set(calls) == set(covered)
+            assert set(leaves) == set(covered)
 
 
 class TestBruteForceOracle:
@@ -173,6 +178,32 @@ class TestBruteForceOracle:
                 witness = cert.witness.edges if cert.witness else None
                 assert ((cert.verdict, cert.reason, witness)
                         == brute_force_is_k_extendible(g, k)), (g, k)
+
+    def test_deep_stack_on_dense_graphs(self, monkeypatch):
+        """Dense graphs reach depths 3-5 of the walk's stack.  The seed is
+        one whose sample also holds prefixes with no perfect match, the
+        branch that blocks a whole subtree; the test checks it ran."""
+        failed_prefixes = []
+        helper = extendibility._perfect_without_pair
+
+        def counted(adj, n, mask, match, u, v):
+            out = helper(adj, n, mask, match, u, v)
+            if out is None and mask.bit_count() - 2 > n - 2 * level:
+                failed_prefixes.append(mask)
+            return out
+
+        monkeypatch.setattr(extendibility, "_perfect_without_pair", counted)
+        rng = SplitMix64(20)
+        corpus = [seeded_random_graph(n, rng, p)
+                  for n in (10, 11, 12) for p in (0.85, 0.95)
+                  for _ in range(3)]
+        for g in corpus:
+            for level in range(g.n // 2 + 1):
+                cert = is_k_extendible(g, level)
+                witness = cert.witness.edges if cert.witness else None
+                assert ((cert.verdict, cert.reason, witness)
+                        == brute_force_is_k_extendible(g, level)), (g, level)
+        assert failed_prefixes
 
     def test_named_verdicts(self, c8, k33, p4):
         assert brute_force_is_k_extendible(k33, 2) == (True, None, None)

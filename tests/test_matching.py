@@ -29,7 +29,7 @@ from kextend import (
 )
 from kextend.matching import (
     _mask_maximum_matching,
-    _perfect_after_removing,
+    _perfect_without_pair,
     validate_matching,
 )
 from kextend.oracles import (
@@ -40,6 +40,17 @@ from kextend.oracles import (
     count_matchings_brute_force,
 )
 from kextend.rng import SplitMix64
+
+
+def assert_perfect_inside(g, mask, match):
+    """``match`` pairs each vertex of ``mask`` with a neighbour inside it
+    and leaves every other vertex at -1."""
+    for w, partner in enumerate(match):
+        if mask >> w & 1:
+            assert partner >= 0 and g.adj[w] >> partner & mask >> partner & 1
+            assert match[partner] == w
+        else:
+            assert partner == -1
 
 
 class TestMatchingType:
@@ -239,21 +250,29 @@ class TestPerfectMatching:
                 validate_matching(g, ext)
 
     def test_warm_start_against_oracle(self):
-        # every removed set, odd ones included, of every graph on n <= 6
-        # with a perfect matching; an odd remainder has none by parity
+        # every graph on n <= 6, every removed set S whose complement has a
+        # perfect match, and every edge uv left after removing S
         for n in range(7):
             full = (1 << n) - 1
             for g in exhaustive_graphs(n):
-                base = _mask_maximum_matching(g.adj, n, full)
-                if -1 in base:
-                    continue
+                edges = list(g.edges())
                 for removed in range(1 << n):
                     rest = full & ~removed
-                    want = (rest.bit_count() % 2 == 0 and
-                            _max_matching_size(g.adj, rest) * 2
-                            == rest.bit_count())
-                    got = _perfect_after_removing(g.adj, n, removed, base)
-                    assert got == want, (g, removed)
+                    if (_max_matching_size(g.adj, rest) * 2
+                            != rest.bit_count()):
+                        continue
+                    match = _mask_maximum_matching(g.adj, n, rest)
+                    assert_perfect_inside(g, rest, match)
+                    for u, v in edges:
+                        if rest >> u & rest >> v & 1:
+                            left = rest & ~(1 << u | 1 << v)
+                            want = (_max_matching_size(g.adj, left) * 2
+                                    == left.bit_count())
+                            got = _perfect_without_pair(g.adj, n, rest,
+                                                        match, u, v)
+                            assert (got is not None) == want, (g, rest, u, v)
+                            if got is not None:
+                                assert_perfect_inside(g, left, got)
 
 
 class TestMatchingNumber:
