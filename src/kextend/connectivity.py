@@ -4,15 +4,19 @@ Pairwise minimum vertex cuts come from unit-capacity max-flow on the
 split-vertex digraph, kept implicit: node 2v is v's in-side, 2v+1 its
 out-side, and ``pred[v]`` is the vertex whose path enters v, or -1 while v
 is free.  The source-side residual cut, read off the last, failed search,
-is the same for every maximum flow, so it is the canonical witness: the
-minimum separator closest to the source.
+is the same for every maximum flow (Picard and Queyranne 1980), so it is
+the canonical witness: the minimum separator closest to the source.  That
+also frees each flow to start from any set of disjoint paths: it starts
+from the two-edge paths through common neighbours and greedy three-edge
+paths, read off the masks ``adj[s]`` and ``adj[t]``, before any search.
 
 Whether the connectivity is at least k is a threshold test after S. Even
-(SIAM J. Comput. 1975): flows stop at k, and only the pairs from each of
-the first k vertices to its non-neighbours above it run, O(k n) flows in
-all.  The full connectivity scans every non-adjacent pair in ascending
-order for its canonical witness; it is computed only where that witness
-is reported.
+(SIAM J. Comput. 1975): flows stop at k paths, warm ones included, and
+only the pairs from each of the first k vertices to its non-neighbours
+above it run, O(k n) flows in all.  The full connectivity scans every
+non-adjacent pair in ascending order for its canonical witness, each
+flow stopping one path above the least cut so far (at first, above the
+minimum degree); it is computed only where that witness is reported.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, VertexSet, components
+from .graphs import Graph, VertexSet, bits, components
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,8 @@ def vertex_connectivity(g: Graph) -> tuple[int, Optional[CutWitness]]:
     """Vertex connectivity with a witness cut whenever one exists, i.e.
     whenever the connectivity is below n - 1.  Conventions: complete graphs
     have connectivity n - 1, a single vertex 0, disconnected graphs 0 with
-    an empty cut."""
+    an empty cut.  Each pair's flow, warm paths included, stops one path
+    above the least cut so far."""
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
     if g.n == 1:
@@ -60,12 +65,14 @@ def vertex_connectivity(g: Graph) -> tuple[int, Optional[CutWitness]]:
         return g.n - 1, None
     best: Optional[tuple[int, ...]] = None
     best_pair = (0, 0)
+    # kappa <= delta, and its delta neighbours cut a least-degree vertex
+    # from a non-neighbour; the limit keeps equal-size cuts in play, as
+    # they compete on lexicographic order
+    limit = min(m.bit_count() for m in g.adj) + 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.adj[u] >> v & 1:
                 continue
-            # keep equal-size cuts in play: they compete on lexicographic order
-            limit = len(best) + 1 if best is not None else None
             cut = _pair_cut(g, u, v, limit=limit)
             if cut is None:
                 continue
@@ -73,6 +80,7 @@ def vertex_connectivity(g: Graph) -> tuple[int, Optional[CutWitness]]:
                     len(cut) == len(best) and cut < best):
                 best = cut
                 best_pair = (u, v)
+                limit = len(cut) + 1
     if best is None:
         raise RuntimeError("no pair cut in a connected non-complete graph")
     return len(best), CutWitness(best, best_pair)
@@ -83,7 +91,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     than k vertices, by Even's test.  A separator S with |S| < k misses
     some s < k, and S cuts s from some non-adjacent w; when w < s, w < k
     as well, so the flow from min(s, w) to max(s, w) sees S.  Each flow
-    stops once k paths are found."""
+    stops once k paths are found, counting its warm-start paths."""
     if k < 0:
         raise ValueError("connectivity level must be nonnegative")
     if g.n < k + 1:
@@ -96,12 +104,27 @@ def is_k_connected(g: Graph, k: int) -> bool:
 def _pair_cut(g: Graph, s: int, t: int,
               limit: int | None = None) -> tuple[int, ...] | None:
     """Source-side minimum s-t vertex cut for distinct non-adjacent s, t,
-    by augmenting BFS on the implicit split digraph.  With ``limit``, gives
-    up (returns None) once the flow value reaches it: such a cut cannot
-    improve on the current best, nor fall below a threshold."""
+    by augmenting BFS on the implicit split digraph, warm-started from
+    vertex-disjoint paths of two and three edges.  With ``limit``, gives up
+    (returns None) once the flow value reaches it, warm paths included,
+    possibly before any search: such a cut cannot improve on the current
+    best, nor fall below a threshold."""
     pred = [-1] * g.n
     source, sink = 2 * s + 1, 2 * t
+    # warm start: s-a-t through each common neighbour a; s-a-b-t pairing
+    # each other neighbour a with the least unused b of t's own neighbours
+    ends = g.adj[t] & ~g.adj[s]
     flow = 0
+    for a in bits(g.adj[s]):
+        if not g.adj[t] >> a & 1:
+            b = g.adj[a] & ends
+            if not b:
+                continue
+            b &= -b
+            ends ^= b
+            pred[b.bit_length() - 1] = a
+        pred[a] = s
+        flow += 1
     while True:
         if limit is not None and flow >= limit:
             return None

@@ -226,11 +226,14 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n" followed by "u v" lines.  Blank lines are skipped.  An
-    error names its reason, and its 1-based line in ``line``."""
+    """Parse "n" followed by "u v" lines of ASCII decimal digits.  Blank
+    lines are skipped.  An error names its reason, and its 1-based line in
+    ``line``."""
     n: Optional[int] = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():
+            raise GraphParseError("non-ascii byte in edge list", line=lineno)
         tokens = raw.split()
         if not tokens:
             continue
@@ -238,30 +241,35 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 1:
                 raise GraphParseError("header must be a single vertex count",
                                       line=lineno)
-            try:
-                n = int(tokens[0])
-            except ValueError:
-                raise GraphParseError(f"vertex count {tokens[0]!r} is not an "
-                                      f"integer", line=lineno) from None
-            if n < 0:
-                raise GraphParseError("negative vertex count", line=lineno)
+            n = _decimal(tokens[0])
+            if n is None:
+                raise GraphParseError(f"vertex count {tokens[0]!r} is not a "
+                                      f"nonnegative integer", line=lineno)
             continue
         if len(tokens) != 2:
             raise GraphParseError(f"expected 'u v', got {raw!r}", line=lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        u, v = _decimal(tokens[0]), _decimal(tokens[1])
+        if u is None or v is None:
             raise GraphParseError(f"non-integer endpoint in {raw!r}",
-                                  line=lineno) from None
+                                  line=lineno)
         if u == v:
             raise GraphParseError(f"self-loop at {u}", line=lineno)
-        if not (0 <= u < n and 0 <= v < n):
+        if not (u < n and v < n):
             raise GraphParseError(f"endpoint out of range 0..{n - 1}",
                                   line=lineno)
         edges.append((u, v))
     if n is None:
         raise GraphParseError("missing vertex-count header")
     return from_edges(n, edges)
+
+
+def _decimal(token: str) -> Optional[int]:
+    """The value of an ASCII token of decimal digits, else None; int()
+    alone would also read '1_0' or '+2'."""
+    try:
+        return int(token) if token.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def to_edge_list(g: Graph) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -153,6 +154,34 @@ class TestAnalyze:
                 assert m.size == k
                 assert pair["extension"] == [
                     list(e) for e in extends_to_perfect(k33, m).edges]
+
+
+class TestConnectivityBytes:
+    """The stdout of fixed runs that compute κ with its canonical cut
+    witness (analyze) or Even's threshold test (verify), pinned by sha256
+    so that a faster flow must print the same bytes."""
+
+    @pytest.mark.parametrize("gen, digest", [
+        (["--random", "12", "60", "13"],
+         "027fc4a645db6e499547f3890a1d2ef6d54ad4abe459f2c8f28dac1b353bf547"),
+        (["--random", "12", "60", "14", "--p", "0.8"],
+         "7fcb6bd6e47924f375982450986d0826322d97b148eba61223d6006027000d83"),
+    ], ids=["half", "dense"])
+    def test_analyze(self, capsys, monkeypatch, gen, digest):
+        code, corpus, _ = run_cli(capsys, monkeypatch, ["gen", *gen])
+        assert code == 0 and corpus.count("\n") == 60
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["analyze", "--kmax", "3"], stdin=corpus)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_verify(self, capsys, monkeypatch):
+        monkeypatch.setenv("KEXTEND_WORKERS", "1")
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["verify", "--random", "10", "200", "15"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "45945412e650c503a1a25e7131459b7f70d0a139f3ca66c1a46e9e30f5a25c15"
 
 
 class TestVerify:
@@ -495,8 +524,21 @@ class TestOneReader:
         code, out, err = run_cli(capsys, monkeypatch,
                                  ["analyze", "--format", "edges", str(path)])
         assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"kextend analyze: {path}:3: ")
+        assert err == (f"kextend analyze: {path}:3: "
+                       "non-ascii byte in edge list\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "+2", "-1", "0x2", "2.0",
+                                       "9" * 5000],
+                             ids=lambda token: token[:8])
+    def test_edge_list_takes_only_decimal_digits(
+            self, capsys, monkeypatch, tmp_path, token):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"12\n0 1\n1 {token}\n")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["analyze", "--format", "edges", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"kextend analyze: {path}:3: "
+                       f"non-integer endpoint in '1 {token}'\n")
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
     def test_closed_stdin_exits_2_with_one_line(self, argv):

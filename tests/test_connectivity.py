@@ -116,6 +116,15 @@ class TestMinVertexCut:
     def test_p4_lexicographically_least(self, p4):
         assert min_vertex_cut(p4, 0, 3).cut == (1,)
 
+    def test_warm_path_rerouted(self):
+        """The warm start takes 0-1-3-5, so 0-2-3-5 is blocked at 3 and
+        the second path needs the backward arc through 3: 0-2-3~1-4-5."""
+        g = from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5),
+                           (4, 5)])
+        assert min_vertex_cut(g, 0, 5).cut == (1, 2)
+        assert _pair_cut(g, 0, 5, limit=2) is None
+        assert _pair_cut(g, 0, 5, limit=3) == (1, 2)
+
     def test_rejects_adjacent_or_equal(self, c4):
         with pytest.raises(ValueError):
             min_vertex_cut(c4, 0, 1)
@@ -145,6 +154,15 @@ def _threshold_graphs():
     for trial in range(240):
         yield seeded_random_graph(7 + trial % 4, rng,
                                   p=(0.3, 0.5, 0.8)[trial % 3])
+    yield from _dense_graphs(SplitMix64(1980), 60)
+
+
+def _dense_graphs(rng, count):
+    """Dense draws, where most flow paths are warm two- and three-edge
+    paths and the flow value often reaches the limit before any search."""
+    for trial in range(count):
+        yield seeded_random_graph(8 + trial % 3, rng,
+                                  p=(0.8, 0.85, 0.9, 0.95)[trial % 4])
 
 
 def _same_component(g, pair):
@@ -193,6 +211,7 @@ def _witness_graphs():
     rng = SplitMix64(2718)
     for trial in range(16):
         yield seeded_random_graph(7 + trial % 2, rng, p=0.4 + trial % 3 / 10)
+    yield from _dense_graphs(SplitMix64(1975), 24)
 
 
 def _non_adjacent_pairs(g):
