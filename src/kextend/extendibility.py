@@ -18,10 +18,10 @@ exhibited extensions come from extends_to_perfect, computed when
 ``exhibit`` is first read.
 
 GraphFacts is the one entry to that engine: it answers the preconditions
-from the facts it holds and starts every level's stack from one maximum
-matching.  The one-shots and the bipartite checker each build one; the
-bipartite checker takes its verdict from the surplus scan below and its
-blocked witness from the engine.
+from the facts it holds and starts every level's stack, and that of each
+G - u - v in G's labels, from one maximum matching.  The one-shots and
+the bipartite checker each build one; the bipartite checker takes its
+verdict from the surplus scan below and its blocked witness from the engine.
 
 For balanced bipartite graphs the same verdict follows from a surplus
 condition on one side: |N(A)| >= |A| + k for every nonempty A within X of
@@ -44,6 +44,7 @@ from .graphs import (
     Graph,
     OddCycle,
     VertexSet,
+    _component,
     bipartition,
     check_bipartition,
     delete_vertices,
@@ -166,9 +167,27 @@ class GraphFacts:
         if cert is None:
             cert = self._unmet_precondition(k)
             if cert is None:
-                cert = _certificate(self.g, k, self.maximum)
+                cert = _certificate(self.g, k, self.maximum,
+                                    (1 << self.g.n) - 1)
             self._certificates[k] = cert
         return cert
+
+    def peeled_certificate(self, u: int, v: int, k: int
+                           ) -> ExtendibilityCertificate:
+        """Certificate at level k of G - u - v in G's labels, for an edge uv
+        of a graph with a perfect matching and k < size_bound, without
+        exhibits.  Its memo is its own, since certificate(k + 1)'s holds each
+        set it tests plus u and v: reading it would make P23 a tautology."""
+        g, full = self.g, (1 << self.g.n) - 1
+        rest = full & ~(1 << u | 1 << v)
+        if _component(g.adj, rest) != rest:
+            return ExtendibilityCertificate(False, k, reason=DISCONNECTED)
+        base = _perfect_without_pair(g.adj, g.n, full, self.maximum, u, v)
+        if base is None:
+            return ExtendibilityCertificate(False, k,
+                                            reason=NO_PERFECT_MATCHING)
+        cert = _certificate(g, k, base, rest)
+        return ExtendibilityCertificate(True, k) if cert.verdict else cert
 
     @cached_property
     def extendibility_number(self) -> Optional[int]:
@@ -186,19 +205,19 @@ def is_k_extendible(g: Graph, k: int) -> ExtendibilityCertificate:
     return GraphFacts(g).certificate(k)
 
 
-def _certificate(g: Graph, k: int, base: list[int]
+def _certificate(g: Graph, k: int, base: list[int], root: int
                  ) -> ExtendibilityCertificate:
-    """Walk the size-k matchings of g, which meets every precondition, in
-    lexicographic order.  matches[d] is a perfect match of G - V(chosen[:d])
-    from matches[d - 1] by _perfect_without_pair, computed only when a leaf
-    below misses the memo; None blocks every leaf below."""
+    """Walk the size-k matchings of g[root], which meets every precondition,
+    in lexicographic order.  matches[d] is a perfect match of g[root] -
+    V(chosen[:d]) from matches[d - 1], base at d = 0, by _perfect_without_pair
+    when a leaf below misses the memo; None blocks every leaf below."""
     if k == 0:
         return ExtendibilityCertificate(True, 0, exhibited=((),), graph=g)
     adj, n = g.adj, g.n
     extends: dict[int, bool] = {}  # covered mask -> extends
     exhibited: list[tuple[Edge, ...]] = []
     chosen: list[Edge] = [(0, 0)] * k
-    frees = [(1 << n) - 1] * k  # vertices outside each depth's prefix
+    frees = [root] * k  # vertices of root outside each depth's prefix
     matches: list[Optional[list[int]]] = [base] * (k + 1)
     ready = 1  # matches[:ready] belong to the current prefix
 

@@ -12,7 +12,7 @@ Two text formats are supported:
   header byte is chr(n + 63); the upper-triangle adjacency bits follow in
   column order x(0,1), x(0,2), x(1,2), x(0,3), ..., packed big-endian into
   6-bit groups, zero-padded, each group emitted as chr(value + 63).
-* plain edge lists: first token is n, then one "u v" pair per line.
+* plain edge lists: first token is n <= 1024, then one "u v" per line.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 GRAPH6_MAX_N = 62
+EDGE_LIST_MAX_N = 1024
 
 VertexSet = tuple[int, ...]
 Edge = tuple[int, int]
@@ -226,9 +227,9 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n" followed by "u v" lines of ASCII decimal digits.  Blank
-    lines are skipped.  An error names its reason, and its 1-based line in
-    ``line``."""
+    """Parse "n" <= EDGE_LIST_MAX_N, then "u v" lines, in ASCII decimal
+    digits.  Blank lines are skipped.  An error names its reason, and its
+    1-based line in ``line``."""
     n: Optional[int] = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -245,6 +246,9 @@ def parse_edge_list(text: str) -> Graph:
             if n is None:
                 raise GraphParseError(f"vertex count {tokens[0]!r} is not a "
                                       f"nonnegative integer", line=lineno)
+            if n > EDGE_LIST_MAX_N:
+                raise GraphParseError(f"vertex count {n} exceeds "
+                                      f"{EDGE_LIST_MAX_N}", line=lineno)
             continue
         if len(tokens) != 2:
             raise GraphParseError(f"expected 'u v', got {raw!r}", line=lineno)
@@ -318,22 +322,25 @@ def delete_vertices(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     return Graph(len(keep), tuple(adj)), relabel
 
 
+def _component(adj: tuple[int, ...], within: int) -> int:
+    """The piece of the graph on mask ``within`` holding its least vertex."""
+    comp = frontier = within & -within
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
+
+
 def components(g: Graph) -> list[VertexSet]:
     """Maximal connected pieces, each sorted, ordered by minimum member."""
-    seen = 0
+    left = (1 << g.n) - 1
     out: list[VertexSet] = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
+    while left:
+        comp = _component(g.adj, left)
+        left &= ~comp
         out.append(tuple(bits(comp)))
     return out
 

@@ -7,8 +7,8 @@ here is a theorem, any violation on any corpus is an implementation bug;
 the harness is a differential test of the whole stack.
 
 Each graph is evaluated once, through one extendibility.GraphFacts that
-computes every per-graph fact at most once; the properties are pure
-functions of it, listed in the PROPERTIES table.
+computes every per-graph fact at most once, P23's G - u - v included;
+the properties are pure functions of it, in the PROPERTIES table.
 
 Corpora come in three modes: exhaustive (all labeled graphs on n <= 7
 vertices, in increasing order of the upper-triangle edge code), random
@@ -29,12 +29,7 @@ from multiprocessing import Pool
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .extendibility import (
-    GraphFacts,
-    hall_surplus_check,
-    is_k_extendible,
-    peel,
-)
+from .extendibility import GraphFacts, hall_surplus_check
 from .graphs import (
     Bipartition,
     Graph,
@@ -51,7 +46,7 @@ from .jsonio import (
     hall_violator_json,
     matching_json,
 )
-from .matching import Matching, koenig_ore_deficiency
+from .matching import koenig_ore_deficiency
 from .oracles import brute_force_deficiency
 from .rng import SplitMix64
 
@@ -221,30 +216,24 @@ def _one_ext_two_conn(facts: GraphFacts, kmax: int) -> Outcome:
 
 
 def _peeling(facts: GraphFacts, kmax: int) -> Outcome:
-    """P23: if the graph is k-extendible for some 2 <= k <= kmax, removing
-    both endpoints of any edge leaves a (k-1)-extendible graph."""
+    """P23, Yu's lemma: if the graph is k-extendible for some 2 <= k <= kmax,
+    removing both ends of any edge leaves a (k-1)-extendible graph."""
     if kmax < 2:
         return INAPPLICABLE, {"reason": "kmax below 2"}
     levels = _extendible_levels(facts, 2, kmax)
     if not levels:
         return _no_extendible_level(2, kmax)
-    g = facts.g
     for k in levels:
-        for edge in g.edges():
-            peeled, relabel = peel(g, edge)
-            sub = is_k_extendible(peeled, k - 1)
+        for u, v in facts.g.edges():
+            sub = facts.peeled_certificate(u, v, k - 1)
             if sub.verdict:
                 continue
-            back = {new: old for old, new in relabel.items()}
-            witness = None
-            if sub.witness is not None:
-                witness = matching_json(Matching.of(
-                    (back[u], back[v]) for u, v in sub.witness.edges))
             return VIOLATED, {
                 "k": k,
-                "edge": list(edge),
+                "edge": [u, v],
                 "peeled_reason": sub.reason,
-                "peeled_witness_original_labels": witness,
+                "peeled_witness_original_labels":
+                    matching_json(sub.witness) if sub.witness else None,
             }
     return HOLDS, None
 

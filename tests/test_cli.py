@@ -26,6 +26,7 @@ from kextend import (
     to_graph6,
     vertex_connectivity,
 )
+from kextend.graphs import EDGE_LIST_MAX_N
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schema"
@@ -159,7 +160,8 @@ class TestAnalyze:
 class TestConnectivityBytes:
     """The stdout of fixed runs that compute κ with its canonical cut
     witness (analyze) or Even's threshold test (verify), pinned by sha256
-    so that a faster flow must print the same bytes."""
+    so that a faster flow must print the same bytes; the dense verify run
+    also pins P23, which holds on 93 of its 100 graphs."""
 
     @pytest.mark.parametrize("gen, digest", [
         (["--random", "12", "60", "13"],
@@ -182,6 +184,16 @@ class TestConnectivityBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "45945412e650c503a1a25e7131459b7f70d0a139f3ca66c1a46e9e30f5a25c15"
+
+    def test_verify_dense(self, capsys, monkeypatch):
+        monkeypatch.setenv("KEXTEND_WORKERS", "1")
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["verify", "--random", "10", "100", "16",
+                                "--p", "0.85", "--kmax", "4"])
+        assert code == 0
+        assert json.loads(out)["properties"]["P23"]["holds"] == 93
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "0b3215fd7d61edd82c3014e95c79a40feac1b7a5d86447ceb217cbbeae62624f"
 
 
 class TestVerify:
@@ -539,6 +551,29 @@ class TestOneReader:
         assert (code, out) == (2, "")
         assert err == (f"kextend analyze: {path}:3: "
                        f"non-integer endpoint in '1 {token}'\n")
+
+    @pytest.mark.parametrize("count", ["1" + "0" * 20,
+                                       str(EDGE_LIST_MAX_N + 1)],
+                             ids=["21-digit", "cap+1"])
+    def test_edge_list_vertex_count_above_the_cap(
+            self, capsys, monkeypatch, tmp_path, count):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"{count}\n0 1\n")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["analyze", "--format", "edges", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"kextend analyze: {path}:1: vertex count {count} "
+                       f"exceeds {EDGE_LIST_MAX_N}\n")
+
+    def test_edge_list_vertex_count_at_the_cap(self, capsys, monkeypatch,
+                                              tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"{EDGE_LIST_MAX_N}\n0 1\n")
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["analyze", "--format", "edges", str(path)])
+        assert code == 0
+        record = json.loads(out)
+        assert (record["n"], record["edge_count"]) == (EDGE_LIST_MAX_N, 1)
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
     def test_closed_stdin_exits_2_with_one_line(self, argv):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 
@@ -36,6 +39,7 @@ from kextend.extendibility import (
     NO_PERFECT_MATCHING,
     SIZE_TOO_SMALL,
     ExtendibilityCertificate,
+    GraphFacts,
 )
 from kextend.matching import enumerate_matchings
 from kextend.oracles import brute_force_is_k_extendible
@@ -393,6 +397,55 @@ class TestPeel:
     def test_rejects_non_edge(self, c4):
         with pytest.raises(ValueError):
             peel(c4, (0, 2))
+
+
+def _peeled_one_shot(g, u, v, k):
+    """(verdict, reason, witness) of is_k_extendible on peel(g, (u, v)),
+    the witness mapped back to g's labels."""
+    peeled, relabel = peel(g, (u, v))
+    cert = is_k_extendible(peeled, k)
+    back = {new: old for old, new in relabel.items()}
+    witness = cert.witness and Matching.of(
+        (back[a], back[b]) for a, b in cert.witness.edges)
+    return cert.verdict, cert.reason, witness
+
+
+def _peeling_corpus():
+    """Every tenth graph on 6 vertices, then dense SplitMix64 draws."""
+    yield from islice(exhaustive_graphs(6), 0, None, 10)
+    rng = SplitMix64(23)
+    for n, p, count in ((8, 0.75, 40), (10, 0.8, 12), (12, 0.85, 4),
+                        (12, 0.9, 4)):
+        for _ in range(count):
+            yield seeded_random_graph(n, rng, p)
+
+
+class TestPeeledCertificate:
+    """GraphFacts.peeled_certificate decides G - u - v in G's labels; it
+    must agree with the one-shot on the peeled, relabeled graph."""
+
+    def test_equals_the_one_shot_on_the_peeled_graph(self):
+        reasons = Counter()
+        for g in _peeling_corpus():
+            facts = GraphFacts(g)
+            if not facts.perfect:
+                continue
+            for k in range(1, facts.size_bound):
+                for u, v in g.edges():
+                    cert = facts.peeled_certificate(u, v, k)
+                    assert (cert.verdict, cert.reason, cert.witness) == \
+                        _peeled_one_shot(g, u, v, k), (g, u, v, k)
+                    assert cert.k == k and cert.exhibited == ()
+                    reasons[cert.reason] += 1
+            # the peeled walk reads no level of G's own certificates
+            assert facts._certificates == {}
+        assert set(reasons) == {None, DISCONNECTED, NO_PERFECT_MATCHING,
+                                BLOCKED_MATCHING}
+
+    def test_level_zero_is_a_bare_yes(self, c6):
+        facts = GraphFacts(c6)
+        assert facts.peeled_certificate(0, 1, 0) == \
+            ExtendibilityCertificate(True, 0)
 
 
 class TestPaperProperties:

@@ -25,7 +25,7 @@ from kextend import (
     to_graph6,
     vertex_connectivity,
 )
-from kextend.extendibility import GraphFacts
+from kextend.extendibility import ExtendibilityCertificate, GraphFacts
 from kextend.jsonio import certificate_json, cut_witness_json
 from kextend.oracles import brute_force_is_k_extendible
 from kextend.rng import SplitMix64
@@ -112,6 +112,37 @@ class TestPropertyChecks:
         assert check("P23", k44, 2)[0] == HOLDS
         assert check("P23", k33, 1) == (INAPPLICABLE,
                                         {"reason": "kmax below 2"})
+
+    @pytest.mark.parametrize("g, reason, witness", [
+        # C8 - 0 - 1 is the path 2..7, where (3, 4) strands vertex 2
+        (cycle_graph(8), "BlockedMatching", [[3, 4]]),
+        # G - 0 - 1 splits into the edges 2-3 and 4-5
+        (from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3),
+                        (4, 5)]), "Disconnected", None),
+        # G - 0 - 1 is the star from 2 to 3, 4 and 5
+        (from_edges(6, [(0, 1), (0, 3), (1, 4), (2, 3), (2, 4), (2, 5)]),
+         "NoPerfectMatching", None),
+    ], ids=["blocked", "disconnected", "no-perfect-matching"])
+    def test_peeling_violation_payload(self, g, reason, witness):
+        facts = GraphFacts(g)
+        facts._certificates[2] = ExtendibilityCertificate(True, 2)
+        assert PROPERTIES["P23"](facts, 2) == (VIOLATED, {
+            "k": 2,
+            "edge": [0, 1],
+            "peeled_reason": reason,
+            "peeled_witness_original_labels": witness,
+        })
+
+    def test_peeling_builds_no_peeled_graph(self, monkeypatch):
+        def refuse(g, s):
+            raise AssertionError("P23 built G - u - v as a graph")
+
+        monkeypatch.setattr(extendibility, "delete_vertices", refuse)
+        spec = CorpusSpec(mode="random", n=10, count=40, seed=16,
+                          edge_probability=0.85)
+        report = run_corpus(spec, ("P23",), kmax=4, workers=1)
+        assert report.violations == ()
+        assert report.properties["P23"][HOLDS] > 0
 
     def test_connectivity_bound(self, k33, c6, p4):
         assert check("T31", k33, 2)[0] == HOLDS
