@@ -10,12 +10,15 @@ because the only size-0 matching is empty.
 Whether a matching M extends depends only on V(M), the vertices it
 covers, so a level is decided once per covered vertex set.  The walk over
 size-k matchings is lexicographic, so the blocked witness is the least
-blocked matching, and it carries a stack: depth d holds a perfect matching
-of G - V(prefix), derived from depth d - 1's by one short alternating-path
-step when a leaf below first misses the memo.  A prefix whose step fails
-has no perfect matching left, so every leaf below it is blocked.  The
-exhibited extensions come from extends_to_perfect, computed when
-``exhibit`` is first read.
+blocked matching, and it carries a stack: depth d < k holds a perfect
+matching of G - V(prefix), derived from depth d - 1's by one short
+alternating-path step when a leaf below first misses the memo.  A prefix
+whose step fails has no perfect matching left, so every leaf below it is
+blocked.  The leaves need only a yes or no: the last depth's own loop
+reads each from its prefix's matching by mask tests, with no copy, and
+runs the step only for the leaves those tests leave open.  The exhibited
+extensions come from extends_to_perfect, computed when ``exhibit`` is
+first read.
 
 GraphFacts is the one entry to that engine: it answers the preconditions
 from the facts it holds and starts every level's stack, and that of each
@@ -52,6 +55,7 @@ from .graphs import (
 )
 from .matching import (
     Matching,
+    _extends_without_pair,
     _mask_maximum_matching,
     _perfect_without_pair,
     extends_to_perfect,
@@ -210,21 +214,25 @@ def _certificate(g: Graph, k: int, base: list[int], root: int
     """Walk the size-k matchings of g[root], which meets every precondition,
     in lexicographic order.  matches[d] is a perfect match of g[root] -
     V(chosen[:d]) from matches[d - 1], base at d = 0, by _perfect_without_pair
-    when a leaf below misses the memo; None blocks every leaf below."""
+    when a leaf below misses the memo; None blocks every leaf below.  The
+    last depth has its own loop, which decides each leaf from
+    matches[k - 1] by _extends_without_pair."""
     if k == 0:
         return ExtendibilityCertificate(True, 0, exhibited=((),), graph=g)
-    adj, n = g.adj, g.n
-    extends: dict[int, bool] = {}  # covered mask -> extends
+    adj, n, last = g.adj, g.n, k - 1
+    extends: set[int] = set()  # covered masks that extend
     exhibited: list[tuple[Edge, ...]] = []
     chosen: list[Edge] = [(0, 0)] * k
     frees = [root] * k  # vertices of root outside each depth's prefix
-    matches: list[Optional[list[int]]] = [base] * (k + 1)
+    matches: list[Optional[list[int]]] = [base] * k
     ready = 1  # matches[:ready] belong to the current prefix
 
     def blocked_below(d: int, lo: int) -> bool:
         """Walk the extensions of chosen[:d] by edges (u, v), lo <= u < v."""
         nonlocal ready
-        free, need, leaf = frees[d], 2 * (k - d), d + 1 == k
+        if d == last:
+            return blocked_leaf(lo)
+        free, need = frees[d], 2 * (k - d)
         us = free >> lo << lo
         while us:
             u = (us & -us).bit_length() - 1
@@ -238,25 +246,47 @@ def _certificate(g: Graph, k: int, base: list[int], root: int
                 chosen[d] = (u, low.bit_length() - 1)
                 if ready > d + 1:
                     ready = d + 1
-                if not leaf:
-                    frees[d + 1] = free & ~(1 << u | low)
-                    if blocked_below(d + 1, u + 1):
-                        return True
-                    continue
-                covered = frees[0] & ~free | 1 << u | low
-                ok = extends.get(covered)
-                if ok is None:
-                    match = matches[ready - 1]
-                    while ready <= k and match is not None:
-                        x, y = chosen[ready - 1]
-                        match = matches[ready] = _perfect_without_pair(
-                            adj, n, frees[ready - 1], match, x, y)
-                        ready += 1
-                    ok = extends[covered] = match is not None
-                if not ok:
+                frees[d + 1] = free & ~(1 << u | low)
+                if blocked_below(d + 1, u + 1):
                     return True
-                if len(exhibited) < EXHIBIT_LIMIT:
+        return False
+
+    def blocked_leaf(lo: int) -> bool:
+        """Decide the leaves chosen[:last] + [(u, v)], lo <= u < v.  Only
+        the witness and the exhibits are written to chosen."""
+        nonlocal ready
+        free = frees[last]
+        prefix = root & ~free
+        spare = len(exhibited) < EXHIBIT_LIMIT
+        match = None  # matches[last], derived on the first memo miss
+        us = free >> lo << lo
+        while us:
+            u = (us & -us).bit_length() - 1
+            if (free >> u).bit_count() < 2:
+                break
+            us &= us - 1
+            vs = adj[u] & free >> u + 1 << u + 1
+            pu = prefix | 1 << u
+            while vs:
+                low = vs & -vs
+                vs ^= low
+                if pu | low not in extends:
+                    if match is None:
+                        match = matches[ready - 1]
+                        while ready < k and match is not None:
+                            x, y = chosen[ready - 1]
+                            match = matches[ready] = _perfect_without_pair(
+                                adj, n, frees[ready - 1], match, x, y)
+                            ready += 1
+                    if match is None or not _extends_without_pair(
+                            adj, n, free, match, u, low.bit_length() - 1):
+                        chosen[last] = (u, low.bit_length() - 1)
+                        return True
+                    extends.add(pu | low)
+                if spare:
+                    chosen[last] = (u, low.bit_length() - 1)
                     exhibited.append(tuple(chosen))
+                    spare = len(exhibited) < EXHIBIT_LIMIT
         return False
 
     if blocked_below(0, 0):

@@ -11,7 +11,10 @@ results are reproducible.
 _perfect_without_pair is the certificate walk's one step: from a perfect
 matching of the graph on a vertex mask it derives one of the mask minus
 the two ends of an edge, trying the direct edge and a length-3 path
-before it pays for a blossom search.
+before it pays for a blossom search.  The walk derives its prefixes'
+matchings with it.  Its leaves only need a yes or no, which
+_extends_without_pair reads off the prefix's matching with mask tests and
+no copy; it runs the step only for the leaves those tests leave open.
 """
 
 from __future__ import annotations
@@ -232,6 +235,28 @@ def _perfect_without_pair(adj: tuple[int, ...], n: int, mask: int,
         return None
     _flip(match, path)
     return match
+
+
+def _extends_without_pair(adj: tuple[int, ...], n: int, mask: int,
+                          match: list[int], u: int, v: int) -> bool:
+    """Whether _perfect_without_pair finds a perfect match of the graph on
+    ``mask`` minus u and v, read off ``match`` with mask tests and no copy.
+    With a and b the partners of u and v, it does when ab is an edge (a = v
+    makes ab the edge uv) or a length-3 path a-x=y-b joins them through a
+    matched edge xy, and it does not when a has no neighbour left.  Only
+    the pairs these tests leave run _perfect_without_pair."""
+    a, b = match[u], match[v]
+    if adj[a] >> b & 1:
+        return True
+    xs = adj[a] & mask & ~(1 << u | 1 << v)
+    if not xs:
+        return False
+    while xs:
+        x = xs & -xs
+        xs ^= x
+        if adj[b] >> match[x.bit_length() - 1] & 1:
+            return True
+    return _perfect_without_pair(adj, n, mask, match, u, v) is not None
 
 
 def _mask_maximum_matching(adj: tuple[int, ...], n: int, mask: int) -> list[int]:

@@ -8,7 +8,7 @@ releases.  Floats are drawn as the top 53 bits scaled by 2**-53.
 
 from __future__ import annotations
 
-_MASK64 = (1 << 64) - 1
+_MASK64 = SEED_MAX = (1 << 64) - 1
 
 
 class SplitMix64:

@@ -48,7 +48,7 @@ from .jsonio import (
 )
 from .matching import koenig_ore_deficiency
 from .oracles import brute_force_deficiency
-from .rng import SplitMix64
+from .rng import SEED_MAX, SplitMix64
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -96,6 +96,10 @@ def validate_corpus_spec(spec: CorpusSpec) -> None:
             raise ValueError("vertex count must be nonnegative")
         if spec.count < 1:
             raise ValueError("random mode needs count >= 1")
+        if not 0 <= spec.seed <= SEED_MAX:
+            # SplitMix64 keeps a seed's low 64 bits, so a wider one would
+            # name another seed's corpus
+            raise ValueError(f"seed must lie in 0..{SEED_MAX}")
         if not 0.0 <= spec.edge_probability <= 1.0:
             raise ValueError("edge probability must lie in [0, 1]")
     elif spec.mode == "external":

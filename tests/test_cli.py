@@ -417,6 +417,31 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err == "kextend gen: vertex count must be nonnegative\n"
 
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_exits_2_with_one_line(
+            self, capsys, monkeypatch, command, seed):
+        """SplitMix64 keeps a seed's low 64 bits, so these would alias seeds
+        2**64 - 1 and 0."""
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 [command, "--random", "3", "2", str(seed)])
+        assert (code, out) == (2, "")
+        assert err == (f"kextend {command}: seed must lie in "
+                       f"0..18446744073709551615\n")
+
+    def test_largest_seed_accepted(self, capsys, monkeypatch):
+        seed = (1 << 64) - 1
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["gen", "--random", "3", "2", str(seed),
+                                  "--p", "1"])
+        assert (code, out, err) == (0, "Bw\nBw\n", "")
+        monkeypatch.setenv("KEXTEND_WORKERS", "1")
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["verify", "--random", "3", "2", str(seed)])
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert (code, err, report["corpus"]["seed"]) == (0, "", seed)
+
 
 class TestConvert:
     def test_edges_to_g6(self, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import kextend.extendibility as extendibility
+import kextend.matching as matching
 from conftest import (
     exhaustive_graphs,
     graphs,
@@ -44,6 +45,7 @@ from kextend.extendibility import (
 from kextend.matching import enumerate_matchings
 from kextend.oracles import brute_force_is_k_extendible
 from kextend.rng import SplitMix64
+from kextend.verifier import CorpusSpec, run_corpus
 
 
 class TestDefinitionalChecker:
@@ -146,25 +148,49 @@ class TestCertificateEngine:
     ])
     def test_one_blossom_test_per_covered_set(self, monkeypatch, g, verdict,
                                               matchings, masks):
-        """Each covered 2k-set is decided at most once, by the one step that
-        removes its last edge, and every one is decided on a yes-verdict."""
+        """Each covered 2k-set is decided at most once, by the leaf test
+        that runs a blossom search only when its mask tests leave the set
+        open, and every one is decided on a yes-verdict."""
         k, full = 2, (1 << g.n) - 1
         leaves = []
-        helper = extendibility._perfect_without_pair
+        leaf_test = extendibility._extends_without_pair
 
         def counted(adj, n, mask, match, u, v):
-            removed = full & ~mask | 1 << u | 1 << v
-            if removed.bit_count() == 2 * k:
-                leaves.append(removed)
-            return helper(adj, n, mask, match, u, v)
+            leaves.append(full & ~mask | 1 << u | 1 << v)
+            return leaf_test(adj, n, mask, match, u, v)
 
-        monkeypatch.setattr(extendibility, "_perfect_without_pair", counted)
+        monkeypatch.setattr(extendibility, "_extends_without_pair", counted)
         assert is_k_extendible(g, k).verdict == verdict
         covered = [m.covered_mask() for m in enumerate_matchings(g, k)]
         assert (len(covered), len(set(covered))) == (matchings, masks)
+        assert all(leaf.bit_count() == 2 * k for leaf in leaves)
         assert len(leaves) == len(set(leaves)) <= masks
         if verdict:
             assert set(leaves) == set(covered)
+
+    def test_leaf_tests_spare_the_step(self, monkeypatch):
+        """MONO-EXT over `verify --random 14 48 1` at one worker.  A walk
+        that runs _perfect_without_pair for every leaf missing the memo
+        makes 26,216 calls and 1,275 blossom searches here; the step now
+        runs only for the prefixes and the leaves the mask tests leave
+        open."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        step = counted("step", matching._perfect_without_pair)
+        monkeypatch.setattr(matching, "_perfect_without_pair", step)
+        monkeypatch.setattr(extendibility, "_perfect_without_pair", step)
+        monkeypatch.setattr(matching, "_augmenting_path_from", counted(
+            "search", matching._augmenting_path_from))
+        spec = CorpusSpec(mode="random", n=14, count=48, seed=1)
+        run_corpus(spec, ["MONO-EXT"], kmax=3, workers=1)
+        assert calls["step"] < 26_216 // 4
+        assert calls["search"] <= 1_275
 
 
 class TestBruteForceOracle:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+import kextend.matching as matching
 from conftest import (
     exhaustive_graphs,
     graphs,
@@ -28,6 +29,7 @@ from kextend import (
     path_graph,
 )
 from kextend.matching import (
+    _extends_without_pair,
     _mask_maximum_matching,
     _perfect_without_pair,
     validate_matching,
@@ -273,6 +275,46 @@ class TestPerfectMatching:
                             assert (got is not None) == want, (g, rest, u, v)
                             if got is not None:
                                 assert_perfect_inside(g, left, got)
+
+    def test_leaf_test_against_oracle(self, monkeypatch):
+        """_extends_without_pair answers as _perfect_without_pair and the
+        oracle do, for every edge uv of every mask with a perfect match.
+        Graphs on n <= 6 are taken at their full mask, which covers every
+        mask of them, since the answer depends only on the graph on the
+        mask and the order of its vertices.  The dense sample takes every
+        mask, and the test checks that it leaves pairs to the step both
+        ways: the mask tests alone would answer wrong there."""
+        searched = []
+        step = matching._perfect_without_pair
+
+        def counted(*args):
+            out = step(*args)
+            searched.append(out is not None)
+            return out
+
+        monkeypatch.setattr(matching, "_perfect_without_pair", counted)
+        cases = [(g, (1 << n) - 1) for n in range(7)
+                 for g in exhaustive_graphs(n)]
+        rng = SplitMix64(1992)
+        for n in (8, 9, 10):
+            for p in (0.6, 0.75, 0.9):
+                g = seeded_random_graph(n, rng, p)
+                cases += [(g, mask) for mask in range(1 << n)]
+        for g, mask in cases:
+            if _max_matching_size(g.adj, mask) * 2 != mask.bit_count():
+                continue
+            match = _mask_maximum_matching(g.adj, g.n, mask)
+            for u, v in g.edges():
+                if mask >> u & mask >> v & 1:
+                    left = mask & ~(1 << u | 1 << v)
+                    want = (_max_matching_size(g.adj, left) * 2
+                            == left.bit_count())
+                    got = _extends_without_pair(g.adj, g.n, mask, match, u, v)
+                    step_got = _perfect_without_pair(g.adj, g.n, mask,
+                                                     match, u, v)
+                    assert got == (step_got is not None) == want, (
+                        g, mask, u, v)
+        assert True in searched and False in searched
 
 
 class TestMatchingNumber:
