@@ -17,9 +17,11 @@ byte included, ``<path>:<line>: <reason>``, with "-" for standard input.
 Exit codes: 0 clean, 1 property violation found, 2 usage or input error.
 The ``cmd_*`` functions return 0 or 1, or raise; ``main`` alone turns an
 exception into one stderr line and exit 2, and a stdout closed by its
-reader into exit 2 with nothing on stderr.  ``KEXTEND_WORKERS`` sets the
+reader into exit 2 with nothing on stderr.  ``KEXTEND_WORKERS`` caps the
 verification worker count, 1 to 256 (default: machine parallelism up to
-256); bytes do not depend on it.
+256); a corpus whose projected serial work stays below the verifier's
+pool threshold runs in process whatever the count, and bytes do not
+depend on it.
 """
 
 from __future__ import annotations

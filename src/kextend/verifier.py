@@ -16,7 +16,16 @@ vertices, in increasing order of the upper-triangle edge code), random
 vertex pair in sorted order), and external (a graph6 file, one graph per
 line, or standard input for "-").  read_graphs is the one reader of graph
 input, for the external mode here and for the analyze and convert
-subcommands.
+subcommands.  corpus_range builds any index range of an exhaustive or
+random corpus without the graphs before it: exhaustive graph i is edge
+code i, and random graph i starts the stream i * n(n-1)/2 draws in.
+
+run_corpus evaluates graphs in process until the corpus's projected
+serial work exceeds _POOL_AFTER_S, then hands the rest to a worker pool
+in chunks.  A worker builds a range chunk itself (an external chunk is a
+batch the parent has parsed), folds it with the same _fold, and sends back
+only its tallies and violations, so no Graph or per-graph outcome
+crosses a pipe on a corpus of known size.
 """
 
 from __future__ import annotations
@@ -24,9 +33,8 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from multiprocessing import Pool
-from typing import Any, Callable, Iterable, Iterator, Optional
+from itertools import chain, combinations, islice
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from . import __version__
 from .extendibility import GraphFacts, hall_surplus_check
@@ -48,7 +56,7 @@ from .jsonio import (
 )
 from .matching import koenig_ore_deficiency
 from .oracles import brute_force_deficiency
-from .rng import SEED_MAX, SplitMix64
+from .rng import GAMMA, SEED_MAX, SplitMix64
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -61,6 +69,15 @@ EXHAUSTIVE_MAX_N = 7
 
 # run_corpus rejects a request for more worker processes than this
 _MAX_WORKERS = 256
+# a worker pool's chunk holds at most this many graphs
+_CHUNK = 64
+# projected serial seconds of a corpus beyond which run_corpus hands the
+# rest to a worker pool.  On 2 vCPUs (Python 3.11) two workers broke even
+# with one at about 0.11 s of serial work (300 G(10, 1/2) graphs, all
+# properties); the margin above that absorbs a projection from a corpus's
+# first graphs, which reached 0.24 s on 48-graph MONO-EXT G(14, 1/2)
+# corpora that take 0.07-0.09 s in all
+_POOL_AFTER_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -119,17 +136,24 @@ def random_graph(n: int, rng: SplitMix64, p: float = 0.5) -> Graph:
 
 def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
     validate_corpus_spec(spec)
+    if spec.mode == "external":
+        return read_graphs(spec.source, strict=spec.strict)
+    return corpus_range(spec, 0, _corpus_size(spec))
+
+
+def corpus_range(spec: CorpusSpec, start: int, stop: int) -> Iterator[Graph]:
+    """Graphs start..stop-1 of an exhaustive or random corpus, built without
+    the graphs before them: exhaustive graph i is edge code i, and random
+    graph i starts i * n(n-1)/2 draws into the seed's SplitMix64 stream."""
+    pairs = list(combinations(range(spec.n), 2))
     if spec.mode == "exhaustive":
-        pairs = list(combinations(range(spec.n), 2))
-        for code in range(1 << len(pairs)):
+        for code in range(start, stop):
             yield from_edges(spec.n, (pairs[j] for j in range(len(pairs))
                                       if code >> j & 1))
-    elif spec.mode == "random":
-        rng = SplitMix64(spec.seed)
-        for _ in range(spec.count):
-            yield random_graph(spec.n, rng, spec.edge_probability)
-    else:
-        yield from read_graphs(spec.source, strict=spec.strict)
+        return
+    rng = SplitMix64(spec.seed + start * len(pairs) * GAMMA)
+    for _ in range(start, stop):
+        yield random_graph(spec.n, rng, spec.edge_probability)
 
 
 def read_graphs(source: str, fmt: str = "g6",
@@ -169,8 +193,11 @@ def read_graphs(source: str, fmt: str = "g6",
 
 # (status, detail) of one property on one graph
 Outcome = tuple[str, Optional[dict[str, Any]]]
-# (graph6 if any property is violated, [(property, status, detail), ...])
-TaskResult = tuple[Optional[str], list[tuple[str, str, Any]]]
+# property -> status -> count
+Tallies = dict[str, dict[str, int]]
+# (corpus, index of its first graph, its graphs or the index after its
+# last, properties, kmax): one worker's chunk
+Chunk = tuple[CorpusSpec, int, Union[int, list[Graph]], tuple[str, ...], int]
 
 
 def _top_level(facts: GraphFacts, kmax: int) -> int:
@@ -352,20 +379,15 @@ PROPERTIES: dict[str, Callable[[GraphFacts, int], Outcome]] = {
 PROPERTY_IDS = tuple(PROPERTIES)
 
 
-def _task(args: tuple[Graph, tuple[str, ...], int]) -> TaskResult:
-    """Evaluate one graph through one GraphFacts."""
-    g, properties, kmax = args
-    facts = GraphFacts(g)
-    outcomes = [(pid, *PROPERTIES[pid](facts, kmax)) for pid in properties]
-    violated = any(status == VIOLATED for _, status, _ in outcomes)
-    return (to_graph6(g) if violated and g.n <= 62 else None), outcomes
-
-
 def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
                workers: int = 1) -> Report:
     """Run the selected properties over every corpus graph and aggregate.
-    Output is independent of the worker count: results are folded in graph
-    order, properties in canonical order."""
+    Graphs are evaluated in process until the projected serial work (the
+    elapsed time, scaled to the whole corpus when its size is known)
+    exceeds _POOL_AFTER_S; the rest goes to a pool of at most ``workers``
+    processes.  Output is independent of the worker count and of where
+    each graph ran: chunks are tallied and folded in graph order,
+    properties in canonical order."""
     selected = tuple(p for p in PROPERTY_IDS if p in set(properties))
     unknown = set(properties) - set(PROPERTY_IDS)
     if unknown:
@@ -379,23 +401,38 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
         raise ValueError(f"worker count must lie in 1..{_MAX_WORKERS}")
     validate_corpus_spec(spec)
     start = time.perf_counter()
-    tallies = {pid: {HOLDS: 0, VIOLATED: 0, INAPPLICABLE: 0}
-               for pid in selected}
+    tallies = _new_tallies(selected)
     violations: list[dict[str, Any]] = []
-    processed = 0
-    tasks = ((g, selected, kmax) for g in generate_corpus(spec))
     count = _corpus_size(spec)
-    chunksize = 64
-    if count is not None:
-        # never more workers than graphs, about four chunks per worker
-        workers = min(workers, count)
-        chunksize = min(chunksize, -(-count // (4 * workers)))
-    if workers > 1:
-        with Pool(workers) as pool:
-            results: Iterable = pool.imap(_task, tasks, chunksize=chunksize)
-            processed = _fold(results, tallies, violations)
+    graphs = generate_corpus(spec)
+
+    def in_process() -> Iterator[Graph]:
+        for seen, g in enumerate(graphs, start=1):
+            yield g
+            work = time.perf_counter() - start
+            if count is not None:
+                work *= count / seen
+            if workers > 1 and work > _POOL_AFTER_S:
+                return
+
+    processed = _fold(in_process(), 0, selected, kmax, tallies, violations)
+    if count is None:
+        tasks: Iterator[Chunk] = _batches(spec, graphs, processed, selected,
+                                          kmax)
     else:
-        processed = _fold(map(_task, tasks), tallies, violations)
+        # about four chunks per worker, so a small rest is spread too
+        rest = count - processed
+        size = max(1, min(_CHUNK, -(-rest // (4 * workers))))
+        tasks = ((spec, first, min(first + size, count), selected, kmax)
+                 for first in range(processed, count, size))
+    # never more workers than chunks, and no pool for a single chunk
+    head = list(islice(tasks, workers))
+    if len(head) > 1:
+        with _pool(len(head)) as pool:
+            results = pool.imap(_chunk, chain(head, tasks))
+            processed += _merge(results, tallies, violations)
+    else:
+        processed += _merge(map(_chunk, head), tallies, violations)
     notes = ()
     if {"P21", "MONO-EXT"} & set(selected):
         notes = (ZERO_EXTENDIBLE_NOTE,)
@@ -412,6 +449,12 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
     )
 
 
+def _pool(processes: int) -> Any:
+    """The one place a worker pool starts."""
+    from multiprocessing import Pool
+    return Pool(processes)
+
+
 def _corpus_size(spec: CorpusSpec) -> Optional[int]:
     """Graphs in an exhaustive or random corpus; None for an external one."""
     if spec.mode == "exhaustive":
@@ -419,22 +462,66 @@ def _corpus_size(spec: CorpusSpec) -> Optional[int]:
     return spec.count if spec.mode == "random" else None
 
 
-def _fold(results: Iterable[TaskResult], tallies: dict[str, dict[str, int]],
+def _batches(spec: CorpusSpec, graphs: Iterator[Graph], first: int,
+             properties: tuple[str, ...], kmax: int) -> Iterator[Chunk]:
+    """The rest of an external corpus, in chunks of at most _CHUNK graphs
+    parsed here."""
+    while batch := list(islice(graphs, _CHUNK)):
+        yield spec, first, batch, properties, kmax
+        first += len(batch)
+
+
+def _new_tallies(properties: Iterable[str]) -> Tallies:
+    return {pid: {HOLDS: 0, VIOLATED: 0, INAPPLICABLE: 0}
+            for pid in properties}
+
+
+def _fold(graphs: Iterable[Graph], first: int, properties: tuple[str, ...],
+          kmax: int, tallies: Tallies,
           violations: list[dict[str, Any]]) -> int:
-    """Tally task results in corpus order; a graph's index is its position
-    in ``results``.  Returns the number of graphs."""
+    """Evaluate each graph once, through one GraphFacts, and tally it; the
+    graph at position j of ``graphs`` is corpus graph first + j.  A
+    violated graph is echoed as graph6.  Returns the number of graphs."""
     processed = 0
-    for graph6, outcomes in results:
-        for pid, status, detail in outcomes:
+    for g in graphs:
+        facts = GraphFacts(g)
+        for pid in properties:
+            status, detail = PROPERTIES[pid](facts, kmax)
             tallies[pid][status] += 1
             if status == VIOLATED:
                 violations.append({
                     "property": pid,
-                    "graph_index": processed,
-                    "graph6": graph6,
+                    "graph_index": first + processed,
+                    "graph6": to_graph6(g) if g.n <= 62 else None,
                     "payload": detail,
                 })
         processed += 1
+    return processed
+
+
+def _chunk(task: Chunk) -> tuple[int, Tallies, list[dict[str, Any]]]:
+    """Evaluate one chunk: (its graph count, tallies, violations).  A range
+    chunk is built here from the corpus spec."""
+    spec, first, graphs, properties, kmax = task
+    if isinstance(graphs, int):
+        graphs = corpus_range(spec, first, graphs)
+    tallies = _new_tallies(properties)
+    violations: list[dict[str, Any]] = []
+    processed = _fold(graphs, first, properties, kmax, tallies, violations)
+    return processed, tallies, violations
+
+
+def _merge(results: Iterable[tuple[int, Tallies, list[dict[str, Any]]]],
+           tallies: Tallies, violations: list[dict[str, Any]]) -> int:
+    """Add chunk results, in corpus order, to the run's tallies and
+    violations.  Returns the number of graphs."""
+    processed = 0
+    for chunk_graphs, chunk_tallies, chunk_violations in results:
+        for pid, tally in chunk_tallies.items():
+            for status, seen in tally.items():
+                tallies[pid][status] += seen
+        violations.extend(chunk_violations)
+        processed += chunk_graphs
     return processed
 
 

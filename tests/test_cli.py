@@ -296,6 +296,30 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["graphs_processed"] == 2
 
+    @pytest.mark.parametrize("lines, bad, pool", [(3, 2, False),
+                                                  (3001, 2501, True)],
+                             ids=["in-process", "pool"])
+    def test_external_malformed_line_at_two_workers(
+            self, capsys, monkeypatch, tmp_path, lines, bad, pool):
+        src = tmp_path / "mixed.g6"
+        src.write_text("".join("~broken\n" if i == bad else "Cl\n"
+                               for i in range(1, lines + 1)))
+        argv = ["verify", "--input", str(src), "--properties", "KO"]
+        monkeypatch.setenv("KEXTEND_WORKERS", "1")
+        code, out, expected = run_cli(capsys, monkeypatch, argv)
+        assert code == 2 and out == ""
+        assert expected.startswith(f"kextend verify: {src}:{bad}: ")
+        started = []
+        start_pool = verifier._pool
+        monkeypatch.setattr(verifier, "_pool",
+                            lambda processes: started.append(processes)
+                            or start_pool(processes))
+        monkeypatch.setattr(verifier, "_POOL_AFTER_S",
+                            0.0 if pool else float("inf"))
+        monkeypatch.setenv("KEXTEND_WORKERS", "2")
+        assert run_cli(capsys, monkeypatch, argv) == (2, "", expected)
+        assert started == ([2] if pool else [])
+
     def test_external_stdin(self, capsys, monkeypatch):
         monkeypatch.setenv("KEXTEND_WORKERS", "1")
         argv = ["verify", "--input", "-", "--properties", "KO"]
@@ -327,7 +351,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(verifier, "Pool", refuse)
+        monkeypatch.setattr(verifier, "_pool", refuse)
         monkeypatch.setenv("KEXTEND_WORKERS", "100000")
         code, out, err = run_cli(capsys, monkeypatch,
                                  ["verify", "--exhaustive", "6"])

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 import kextend.extendibility as extendibility
 import kextend.verifier as verifier
-from conftest import exhaustive_graphs
+from conftest import exhaustive_graphs, seeded_random_graph
 from kextend import (
     CorpusSpec,
     GraphParseError,
@@ -36,9 +37,10 @@ from kextend.verifier import (
     PROPERTY_IDS,
     VIOLATED,
     _MAX_WORKERS,
+    _chunk,
     _corpus_size,
     _fold,
-    _task,
+    corpus_range,
     report_json,
 )
 
@@ -322,59 +324,26 @@ class TestRunCorpus:
         assert timed["wall_time_ms"] > 0
 
 
-class TestViolationPlumbing:
-    def test_fold_collects_payloads(self):
-        results = [
-            (None, [("P21", HOLDS, None)]),
-            ("Ch", [("P21", VIOLATED, {"k": 1, "certificate": {}})]),
-        ]
-        tallies = {"P21": {HOLDS: 0, VIOLATED: 0, INAPPLICABLE: 0}}
-        violations: list = []
-        assert _fold(iter(results), tallies, violations) == 2
-        assert tallies["P21"] == {HOLDS: 1, VIOLATED: 1, INAPPLICABLE: 0}
-        assert violations == [{
-            "property": "P21",
-            "graph_index": 1,
-            "graph6": "Ch",
-            "payload": {"k": 1, "certificate": {}},
-        }]
+def plant(monkeypatch, pid, planted, payload):
+    """Make property ``pid`` report a violation on ``planted`` alone."""
+    def fake(facts, kmax):
+        if facts.g == planted:
+            return VIOLATED, payload
+        return HOLDS, None
 
-    def test_task_to_fold_carries_index_and_graph6(self, monkeypatch):
-        single_edge = from_edges(3, [(0, 1)])
-
-        def fake_ko(facts, kmax):
-            if facts.g == single_edge:
-                return VIOLATED, {"planted": True}
-            return HOLDS, None
-
-        monkeypatch.setitem(PROPERTIES, "KO", fake_ko)
-        spec = CorpusSpec(mode="exhaustive", n=3)
-        results = [_task((g, ("P22", "KO"), 1))
-                   for g in generate_corpus(spec)]
-        # exhaustive order: edge code 1 is the single edge (0, 1)
-        assert [graph6 for graph6, _ in results] == (
-            [None, to_graph6(single_edge)] + [None] * 6)
-        report = run_corpus(spec, ("P22", "KO"), kmax=1, workers=1)
-        assert report.violations == ({
-            "property": "KO",
-            "graph_index": 1,
-            "graph6": to_graph6(single_edge),
-            "payload": {"planted": True},
-        },)
-        assert report.properties["KO"] == {HOLDS: 7, VIOLATED: 1,
-                                           INAPPLICABLE: 0}
+    monkeypatch.setitem(PROPERTIES, pid, fake)
 
 
 @pytest.fixture
 def pools(monkeypatch):
     """Replace the worker pool with an in-process stand-in; the list holds
-    (processes, chunksizes passed to imap) for every pool started."""
+    (processes, graphs in each chunk handed out) for every pool started."""
     started = []
 
     class InProcessPool:
         def __init__(self, processes):
-            self.chunksizes = []
-            started.append((processes, self.chunksizes))
+            self.chunks = []
+            started.append((processes, self.chunks))
 
         def __enter__(self):
             return self
@@ -382,12 +351,109 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, tasks, chunksize=1):
-            self.chunksizes.append(chunksize)
-            return map(fn, tasks)
+        def imap(self, fn, tasks):
+            for result in map(fn, tasks):
+                self.chunks.append(result[0])
+                yield result
 
-    monkeypatch.setattr(verifier, "Pool", InProcessPool)
+    monkeypatch.setattr(verifier, "_pool", InProcessPool)
     return started
+
+
+@pytest.fixture
+def eager(monkeypatch):
+    """Hand the rest of every corpus to the pool after its first graph."""
+    monkeypatch.setattr(verifier, "_POOL_AFTER_S", 0.0)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+class TestViolationPlumbing:
+    def test_fold_collects_payloads(self, monkeypatch):
+        planted = from_edges(3, [(0, 1)])
+        plant(monkeypatch, "P21", planted, {"k": 1, "certificate": {}})
+        tallies = {"P21": {HOLDS: 0, VIOLATED: 0, INAPPLICABLE: 0}}
+        violations: list = []
+        # the graphs are corpus graphs 10 and 11
+        assert _fold(iter([from_edges(3, []), planted]), 10, ("P21",), 1,
+                     tallies, violations) == 2
+        assert tallies["P21"] == {HOLDS: 1, VIOLATED: 1, INAPPLICABLE: 0}
+        assert violations == [{
+            "property": "P21",
+            "graph_index": 11,
+            "graph6": to_graph6(planted),
+            "payload": {"k": 1, "certificate": {}},
+        }]
+
+    def test_task_to_fold_carries_index_and_graph6(self, monkeypatch):
+        single_edge = from_edges(3, [(0, 1)])
+        plant(monkeypatch, "KO", single_edge, {"planted": True})
+        spec = CorpusSpec(mode="exhaustive", n=3)
+        expected = {
+            "property": "KO",
+            "graph_index": 1,
+            "graph6": to_graph6(single_edge),
+            "payload": {"planted": True},
+        }
+        # exhaustive order: edge code 1 is the single edge (0, 1); a range
+        # chunk and a batch of parsed graphs report it alike
+        for graphs in (8, list(generate_corpus(spec))):
+            processed, tallies, violations = _chunk(
+                (spec, 0, graphs, ("P22", "KO"), 1))
+            assert processed == 8 and violations == [expected]
+            assert tallies["KO"] == {HOLDS: 7, VIOLATED: 1, INAPPLICABLE: 0}
+        report = run_corpus(spec, ("P22", "KO"), kmax=1, workers=1)
+        assert report.violations == (expected,)
+        assert report.properties["KO"] == {HOLDS: 7, VIOLATED: 1,
+                                           INAPPLICABLE: 0}
+
+    def test_violation_index_survives_chunking(self, monkeypatch, pools,
+                                               eager):
+        spec = CorpusSpec(mode="exhaustive", n=5)
+        [planted] = corpus_range(spec, 700, 701)
+        plant(monkeypatch, "KO", planted, {"planted": True})
+        serial, chunked = (run_corpus(spec, ("P22", "KO"), kmax=1,
+                                      workers=workers) for workers in (1, 2))
+        # graph 0 ran in process, then chunks of 64 from graph 1 on, so
+        # graph 700 lies inside the eleventh chunk, 641..704
+        assert pools == [(2, [64] * 15 + [63])]
+        for report in (serial, chunked):
+            assert report.violations == ({
+                "property": "KO",
+                "graph_index": 700,
+                "graph6": to_graph6(planted),
+                "payload": {"planted": True},
+            },)
+            assert report.properties == serial.properties
+            assert report.properties["KO"][VIOLATED] == 1
+            assert report.graphs_processed == 1024
+
+
+class TestCorpusRange:
+    @pytest.mark.parametrize("n", range(6))
+    def test_exhaustive_range_is_edge_code_range(self, n):
+        spec = CorpusSpec(mode="exhaustive", n=n)
+        whole = list(generate_corpus(spec))
+        assert whole == list(exhaustive_graphs(n))
+        size = len(whole)
+        for start, stop in {(0, size), (1, size), (size // 3, size // 2),
+                            (size - 1, size), (size, size), (0, 1)}:
+            assert list(corpus_range(spec, start, stop)) == whole[start:stop]
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    def test_random_range_jumps_into_the_stream(self, seed, p):
+        spec = CorpusSpec(mode="random", n=6, count=9, seed=seed,
+                          edge_probability=p)
+        rng = SplitMix64(seed)
+        whole = list(generate_corpus(spec))
+        assert whole == [seeded_random_graph(6, rng, p) for _ in range(9)]
+        for start in range(10):
+            for stop in range(start, 10):
+                assert list(corpus_range(spec, start, stop)) == \
+                    whole[start:stop]
 
 
 class TestWorkerPool:
@@ -397,26 +463,50 @@ class TestWorkerPool:
         assert _corpus_size(CorpusSpec(mode="random", n=9, count=48)) == 48
         assert _corpus_size(CorpusSpec(mode="external", source="-")) is None
 
-    def test_small_corpus_spreads_over_workers(self, pools):
-        spec = CorpusSpec(mode="random", n=10, count=48, seed=5)
-        run_corpus(spec, ("MONO-EXT",), kmax=3, workers=2)
-        [(processes, [chunksize])] = pools
-        assert processes == 2 and chunksize <= 24
+    def test_small_corpus_spreads_over_workers(self, pools, monkeypatch):
+        # the verifier's clock moves only as graphs are evaluated, by
+        # ``cost`` seconds each, so the projection is 48 * cost
+        now = cost = 0.0
+        profile = PROPERTIES["MONO-EXT"]
 
-    def test_no_more_workers_than_graphs(self, pools):
+        def timed(facts, kmax):
+            nonlocal now
+            now += cost
+            return profile(facts, kmax)
+
+        monkeypatch.setitem(PROPERTIES, "MONO-EXT", timed)
+        monkeypatch.setattr(verifier, "time",
+                            SimpleNamespace(perf_counter=lambda: now))
+        spec = CorpusSpec(mode="random", n=10, count=48, seed=5)
+        # 0.24 s of work: a pool would cost more than it saves
+        cost = 0.005
+        run_corpus(spec, ("MONO-EXT",), kmax=3, workers=2)
+        assert pools == []
+        # at 0.288 s the rest goes out after graph 0, in about four chunks
+        # per worker, so both workers get some
+        cost = 0.006
+        run_corpus(spec, ("MONO-EXT",), kmax=3, workers=2)
+        assert pools == [(2, [6] * 7 + [5])]
+
+    def test_no_more_workers_than_graphs(self, pools, eager):
         run_corpus(CorpusSpec(mode="random", n=6, count=3, seed=1),
                    PROPERTY_IDS, workers=8)
-        assert pools == [(3, [1])]
+        assert pools == [(2, [1, 1])]
 
     @pytest.mark.parametrize("spec", [
         CorpusSpec(mode="exhaustive", n=1),
         CorpusSpec(mode="random", n=8, count=1, seed=4),
+        CorpusSpec(mode="external", source="one.g6"),
     ])
-    def test_one_graph_starts_no_pool(self, pools, spec):
+    def test_one_graph_starts_no_pool(self, pools, eager, tmp_path, spec):
+        if spec.mode == "external":
+            path = tmp_path / spec.source
+            path.write_text("Cl\n")
+            spec = replace(spec, source=str(path))
         report = run_corpus(spec, PROPERTY_IDS, workers=2)
         assert report.graphs_processed == 1 and pools == []
 
-    def test_large_and_external_corpora_keep_chunks_of_64(self, pools,
+    def test_large_and_external_corpora_keep_chunks_of_64(self, pools, eager,
                                                          tmp_path):
         spec = CorpusSpec(mode="random", n=4, count=1000, seed=2)
         run_corpus(spec, ("KO",), kmax=1, workers=2)
@@ -425,15 +515,14 @@ class TestWorkerPool:
                                 for g in generate_corpus(spec)))
         run_corpus(CorpusSpec(mode="external", source=str(path)), ("KO",),
                    kmax=1, workers=2)
-        assert pools == [(2, [64]), (2, [64])]
+        # graph 0 runs in process either way
+        assert pools == [(2, [64] * 15 + [39])] * 2
 
     @pytest.mark.parametrize("workers", [0, _MAX_WORKERS + 1, 100_000])
     def test_worker_count_out_of_range_starts_no_pool(self, monkeypatch,
-                                                      tmp_path, workers):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(verifier, "Pool", refuse)
+                                                      eager, tmp_path,
+                                                      workers):
+        monkeypatch.setattr(verifier, "_pool", refuse)
         path = tmp_path / "one.g6"
         path.write_text("Cl\n")
         for spec in (CorpusSpec(mode="exhaustive", n=6),
@@ -441,12 +530,10 @@ class TestWorkerPool:
             with pytest.raises(ValueError, match="worker count"):
                 run_corpus(spec, PROPERTY_IDS, workers=workers)
 
-    def test_worker_cap_itself_is_accepted(self, pools, tmp_path):
-        path = tmp_path / "one.g6"
-        path.write_text("Cl\n")
-        run_corpus(CorpusSpec(mode="external", source=str(path)), ("KO",),
-                   kmax=1, workers=_MAX_WORKERS)
-        assert pools == [(_MAX_WORKERS, [64])]
+    def test_worker_cap_itself_is_accepted(self, pools, eager):
+        run_corpus(CorpusSpec(mode="random", n=4, count=300, seed=3),
+                   ("KO",), kmax=1, workers=_MAX_WORKERS)
+        assert pools == [(_MAX_WORKERS, [1] * 299)]
 
     def test_report_bytes_equal_at_one_and_two_workers(self):
         spec = CorpusSpec(mode="random", n=10, count=48, seed=5)
@@ -455,6 +542,29 @@ class TestWorkerPool:
                                               kmax=3, workers=workers)))
             for workers in (1, 2))
         assert serial == parallel
+
+    def test_report_bytes_equal_in_process_and_in_pool(self, monkeypatch,
+                                                       tmp_path):
+        started = []
+        pool = verifier._pool
+        monkeypatch.setattr(verifier, "_pool",
+                            lambda processes: started.append(processes)
+                            or pool(processes))
+        random = CorpusSpec(mode="random", n=8, count=300, seed=9)
+        path = tmp_path / "corpus.g6"
+        path.write_text("".join(to_graph6(g) + "\n"
+                                for g in generate_corpus(random)))
+        for spec in (CorpusSpec(mode="exhaustive", n=5), random,
+                     CorpusSpec(mode="external", source=str(path))):
+            reports = set()
+            for after_s in (0.0, float("inf")):
+                monkeypatch.setattr(verifier, "_POOL_AFTER_S", after_s)
+                for workers in (1, 2):
+                    reports.add(json.dumps(report_json(run_corpus(
+                        spec, ("KO", "MONO-EXT"), kmax=2, workers=workers))))
+            assert len(reports) == 1
+        # a real pool ran once per corpus: at two workers, from graph 1 on
+        assert started == [2, 2, 2]
 
 
 class TestLazyExhibits:
