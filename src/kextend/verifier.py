@@ -22,7 +22,9 @@ code i, and random graph i starts the stream i * n(n-1)/2 draws in.
 
 run_corpus evaluates graphs in process until the corpus's projected
 serial work exceeds _POOL_AFTER_S, then hands the rest to a worker pool
-in chunks.  A worker builds a range chunk itself (an external chunk is a
+in chunks.  The projection counts the process's CPU time, not wall time,
+and waits for a tenth of the threshold's worth of it, so neither a stall
+nor one slow first graph starts a pool that the corpus does not repay.  A worker builds a range chunk itself (an external chunk is a
 batch the parent has parsed), folds it with the same _fold, and sends back
 only its tallies and violations, so no Graph or per-graph outcome
 crosses a pipe on a corpus of known size.
@@ -71,12 +73,14 @@ EXHAUSTIVE_MAX_N = 7
 _MAX_WORKERS = 256
 # a worker pool's chunk holds at most this many graphs
 _CHUNK = 64
-# projected serial seconds of a corpus beyond which run_corpus hands the
-# rest to a worker pool.  On 2 vCPUs (Python 3.11) two workers broke even
-# with one at about 0.11 s of serial work (300 G(10, 1/2) graphs, all
-# properties); the margin above that absorbs a projection from a corpus's
-# first graphs, which reached 0.24 s on 48-graph MONO-EXT G(14, 1/2)
-# corpora that take 0.07-0.09 s in all
+# projected serial CPU seconds of a corpus beyond which run_corpus hands
+# the rest to a worker pool.  On 2 vCPUs (Python 3.11) two workers broke
+# even with one at about 0.11 s of serial work (300 G(10, 1/2) graphs, all
+# properties).  A projection rests on at least a tenth of this much CPU
+# time: over 60 cold 48-graph MONO-EXT G(14, 1/2) corpora (0.04-0.09 s in
+# all) it read at most 0.12 s, and over 12 corpora of 2,000 G(10, 1/2)
+# graphs (all properties) at least 0.45 s, where a projection from the
+# first graph alone spanned 0.02-0.21 s and 0.36-0.96 s
 _POOL_AFTER_S = 0.25
 
 
@@ -383,8 +387,8 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
                workers: int = 1) -> Report:
     """Run the selected properties over every corpus graph and aggregate.
     Graphs are evaluated in process until the projected serial work (the
-    elapsed time, scaled to the whole corpus when its size is known)
-    exceeds _POOL_AFTER_S; the rest goes to a pool of at most ``workers``
+    CPU time spent, once it reaches a tenth of _POOL_AFTER_S, scaled to
+    the whole corpus when its size is known) exceeds _POOL_AFTER_S; the rest goes to a pool of at most ``workers``
     processes.  Output is independent of the worker count and of where
     each graph ran: chunks are tallied and folded in graph order,
     properties in canonical order."""
@@ -401,6 +405,7 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
         raise ValueError(f"worker count must lie in 1..{_MAX_WORKERS}")
     validate_corpus_spec(spec)
     start = time.perf_counter()
+    cpu_start = time.process_time()
     tallies = _new_tallies(selected)
     violations: list[dict[str, Any]] = []
     count = _corpus_size(spec)
@@ -409,10 +414,12 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
     def in_process() -> Iterator[Graph]:
         for seen, g in enumerate(graphs, start=1):
             yield g
-            work = time.perf_counter() - start
+            work = time.process_time() - cpu_start
+            if workers == 1 or work < _POOL_AFTER_S / 10:
+                continue
             if count is not None:
                 work *= count / seen
-            if workers > 1 and work > _POOL_AFTER_S:
+            if work > _POOL_AFTER_S:
                 return
 
     processed = _fold(in_process(), 0, selected, kmax, tallies, violations)

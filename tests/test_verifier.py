@@ -464,7 +464,7 @@ class TestWorkerPool:
         assert _corpus_size(CorpusSpec(mode="external", source="-")) is None
 
     def test_small_corpus_spreads_over_workers(self, pools, monkeypatch):
-        # the verifier's clock moves only as graphs are evaluated, by
+        # the verifier's clocks move only as graphs are evaluated, by
         # ``cost`` seconds each, so the projection is 48 * cost
         now = cost = 0.0
         profile = PROPERTIES["MONO-EXT"]
@@ -476,17 +476,41 @@ class TestWorkerPool:
 
         monkeypatch.setitem(PROPERTIES, "MONO-EXT", timed)
         monkeypatch.setattr(verifier, "time",
-                            SimpleNamespace(perf_counter=lambda: now))
+                            SimpleNamespace(perf_counter=lambda: now,
+                                            process_time=lambda: now))
         spec = CorpusSpec(mode="random", n=10, count=48, seed=5)
         # 0.24 s of work: a pool would cost more than it saves
         cost = 0.005
         run_corpus(spec, ("MONO-EXT",), kmax=3, workers=2)
         assert pools == []
-        # at 0.288 s the rest goes out after graph 0, in about four chunks
-        # per worker, so both workers get some
+        # at 0.288 s the rest goes out once 0.025 s of work is done, after
+        # graph 4, in about four chunks per worker, so both workers get some
         cost = 0.006
         run_corpus(spec, ("MONO-EXT",), kmax=3, workers=2)
-        assert pools == [(2, [6] * 7 + [5])]
+        assert pools == [(2, [6] * 7 + [1])]
+
+    @pytest.mark.parametrize("stall", ["wall", "first graph"])
+    def test_small_corpus_ignores_a_stall(self, pools, monkeypatch, stall):
+        # 48 graphs of 1 ms CPU each, after either a one-second wall-clock
+        # stall or a first graph of 20 ms: a projection from graph 0 alone
+        # would read 48 s or 0.96 s and start a pool
+        wall = cpu = 0.0
+        profile = PROPERTIES["MONO-EXT"]
+
+        def timed(facts, kmax):
+            nonlocal wall, cpu
+            step = 0.02 if stall == "first graph" and cpu == 0.0 else 0.001
+            wall += step + (1.0 if stall == "wall" and cpu == 0.0 else 0.0)
+            cpu += step
+            return profile(facts, kmax)
+
+        monkeypatch.setitem(PROPERTIES, "MONO-EXT", timed)
+        monkeypatch.setattr(verifier, "time",
+                            SimpleNamespace(perf_counter=lambda: wall,
+                                            process_time=lambda: cpu))
+        spec = CorpusSpec(mode="random", n=10, count=48, seed=5)
+        report = run_corpus(spec, ("MONO-EXT",), kmax=3, workers=2)
+        assert report.graphs_processed == 48 and pools == []
 
     def test_no_more_workers_than_graphs(self, pools, eager):
         run_corpus(CorpusSpec(mode="random", n=6, count=3, seed=1),
