@@ -16,9 +16,12 @@ alternating-path step when a leaf below first misses the memo.  A prefix
 whose step fails has no perfect matching left, so every leaf below it is
 blocked.  The leaves need only a yes or no: the last depth's own loop
 reads each from its prefix's matching by mask tests, with no copy, and
-runs the step only for the leaves those tests leave open.  The exhibited
-extensions come from extends_to_perfect, computed when ``exhibit`` is
-first read.
+runs one blossom search only for the leaves those tests leave open.  The
+walk's recursive closure holds itself through its cell, so the cell is
+emptied when the walk ends: the walk is then freed by reference counting,
+and evaluating a graph leaves nothing for the cyclic collector.  The
+exhibited extensions come from extends_to_perfect, computed when
+``exhibit`` is first read.
 
 GraphFacts is the one entry to that engine: it answers the preconditions
 from the facts it holds and starts every level's stack, and that of each
@@ -36,7 +39,6 @@ differentially tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -72,6 +74,25 @@ EXHIBIT_LIMIT = 2
 HALL_SCAN_MAX_SIDE = 20
 
 
+class _once:
+    """functools.cached_property without the lock that Python 3.11 takes
+    on each first read; a GraphFacts or a certificate is only ever read by
+    the thread that built it."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ExtendibilityCertificate:
     """Re-checkable verdict for one extendibility level.
@@ -88,7 +109,7 @@ class ExtendibilityCertificate:
     exhibited: tuple[tuple[Edge, ...], ...] = ()
     graph: Optional[Graph] = field(default=None, compare=False, repr=False)
 
-    @cached_property
+    @_once
     def exhibit(self) -> tuple[tuple[Matching, Matching], ...]:
         """(matching, one perfect extension) per exhibited matching."""
         ms = [Matching(edges) for edges in self.exhibited]
@@ -119,29 +140,29 @@ class GraphFacts:
         self._certificates: dict[int, ExtendibilityCertificate] = {}
         self._k_connected: dict[int, bool] = {}
 
-    @cached_property
+    @_once
     def connected(self) -> bool:
         return is_connected(self.g)
 
-    @cached_property
+    @_once
     def maximum(self) -> list[int]:
         """Match array of one maximum matching, -1 for an exposed vertex."""
         return _mask_maximum_matching(self.g.adj, self.g.n,
                                       (1 << self.g.n) - 1)
 
-    @cached_property
+    @_once
     def matching_number(self) -> int:
         return (self.g.n - self.maximum.count(-1)) // 2
 
-    @cached_property
+    @_once
     def perfect(self) -> bool:
         return 2 * self.matching_number == self.g.n
 
-    @cached_property
+    @_once
     def bipartition(self) -> Bipartition | OddCycle:
         return bipartition(self.g)
 
-    @cached_property
+    @_once
     def connectivity(self) -> tuple[int, Optional[CutWitness]]:
         return vertex_connectivity(self.g)
 
@@ -193,7 +214,7 @@ class GraphFacts:
         cert = _certificate(g, k, base, rest)
         return ExtendibilityCertificate(True, k) if cert.verdict else cert
 
-    @cached_property
+    @_once
     def extendibility_number(self) -> Optional[int]:
         """Largest k for which the graph is k-extendible, or None when it is
         not even 0-extendible.  Every level up to the size bound is checked
@@ -289,7 +310,11 @@ def _certificate(g: Graph, k: int, base: list[int], root: int
                     spare = len(exhibited) < EXHIBIT_LIMIT
         return False
 
-    if blocked_below(0, 0):
+    blocked = blocked_below(0, 0)
+    # blocked_below holds itself through this cell; emptying it frees the
+    # walk's closures, cells and memo by reference counting
+    del blocked_below
+    if blocked:
         return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
                                         witness=Matching(tuple(chosen)))
     return ExtendibilityCertificate(True, k, exhibited=tuple(exhibited),

@@ -6,6 +6,11 @@ share between workers.  All "mutations" (vertex deletion, induced
 subgraphs) copy; deletions return a relabeling map so witnesses can be
 reported in the original graph's labels.
 
+The per-graph kernels work on those masks: is_connected is one search
+from the least vertex (_component), and bipartition colours with one mask
+per side, so neither builds a list only to count it.  Hot loops walk set
+bits inline (low = mask & -mask); bits() is the readable form elsewhere.
+
 Two text formats are supported:
 
 * graph6, short form only (n <= 62): one printable line per graph.  The
@@ -327,8 +332,10 @@ def _component(adj: tuple[int, ...], within: int) -> int:
     comp = frontier = within & -within
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & within & ~comp
         comp |= frontier
     return comp
@@ -346,7 +353,10 @@ def components(g: Graph) -> list[VertexSet]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    """Whether one search from the least vertex reaches every vertex; the
+    graph on no vertices counts as connected."""
+    full = (1 << g.n) - 1
+    return _component(g.adj, full) == full
 
 
 # bipartition
@@ -389,28 +399,46 @@ def check_bipartition(g: Graph, bp: Bipartition) -> None:
 def bipartition(g: Graph) -> Bipartition | OddCycle:
     """Two-color the graph.  Per component, the side holding its minimum
     vertex goes to X.  Returns an OddCycle witness when no 2-coloring
-    exists."""
-    color = [-1] * g.n
+    exists.
+
+    Each component is searched breadth first from its least vertex, each
+    level in the order it was reached.  A level's vertices share one side,
+    and only the other side grows while the level is scanned, so that side
+    mask is the whole clash test: the first vertex of the level with a
+    neighbour on its own side, with its least such neighbour, closes the
+    odd cycle."""
     parent = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
+    sides = [0, 0]  # X, Y
+    left = (1 << g.n) - 1  # not yet colored
+    while left:
+        low = left & -left
+        left ^= low
+        sides[0] |= low
+        side = 0
+        level = [low.bit_length() - 1]
+        while level:
+            own = sides[side]
+            reached = 0
             nxt: list[int] = []
-            for v in queue:
-                for w in bits(g.adj[v]):
-                    if color[w] == -1:
-                        color[w] = color[v] ^ 1
-                        parent[w] = v
-                        nxt.append(w)
-                    elif color[w] == color[v]:
-                        return OddCycle(_odd_cycle(parent, v, w))
-            queue = nxt
-    xs = tuple(v for v in range(g.n) if color[v] == 0)
-    ys = tuple(v for v in range(g.n) if color[v] == 1)
-    return Bipartition(xs, ys)
+            for v in level:
+                nbrs = g.adj[v]
+                clash = nbrs & own
+                if clash:
+                    w = (clash & -clash).bit_length() - 1
+                    return OddCycle(_odd_cycle(parent, v, w))
+                new = nbrs & left
+                left ^= new
+                reached |= new
+                while new:
+                    low = new & -new
+                    w = low.bit_length() - 1
+                    parent[w] = v
+                    nxt.append(w)
+                    new ^= low
+            side ^= 1
+            sides[side] |= reached
+            level = nxt
+    return Bipartition(tuple(bits(sides[0])), tuple(bits(sides[1])))
 
 
 def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:

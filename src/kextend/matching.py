@@ -6,7 +6,8 @@ The search engine follows the classic contracted-blossom scheme: grow an
 alternating forest from the exposed vertices, contract odd cycles into
 their base via a ``base[]`` array, and recover an explicit augmenting
 path from the parent links.  All scans run in ascending vertex order so
-results are reproducible.
+results are reproducible; the greedy seed, the growth and the search walk
+their set bits inline rather than through graphs.bits.
 
 _perfect_without_pair is the certificate walk's one step: from a perfect
 matching of the graph on a vertex mask it derives one of the mask minus
@@ -14,7 +15,8 @@ the two ends of an edge, trying the direct edge and a length-3 path
 before it pays for a blossom search.  The walk derives its prefixes'
 matchings with it.  Its leaves only need a yes or no, which
 _extends_without_pair reads off the prefix's matching with mask tests and
-no copy; it runs the step only for the leaves those tests leave open.
+no copy; only for the leaves those tests leave open does it copy the
+match and run the blossom search, without repeating the tests.
 """
 
 from __future__ import annotations
@@ -116,7 +118,11 @@ def _augmenting_path_from(adj: tuple[int, ...], n: int, mask: int,
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for to in bits(adj[v] & mask):
+        tos = adj[v] & mask
+        while tos:
+            low = tos & -tos
+            tos ^= low
+            to = low.bit_length() - 1
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
@@ -180,7 +186,11 @@ def _grow_maximum(adj: tuple[int, ...], n: int, mask: int,
                   match: list[int]) -> None:
     """Augment ``match`` to maximum inside ``mask``, scanning exposed roots
     ascending.  A root with no augmenting path now never gains one."""
-    for root in bits(mask):
+    roots = mask
+    while roots:
+        low = roots & -roots
+        roots ^= low
+        root = low.bit_length() - 1
         if match[root] != -1 or not adj[root] & mask:
             continue
         path = _augmenting_path_from(adj, n, mask, match, root)
@@ -189,13 +199,19 @@ def _grow_maximum(adj: tuple[int, ...], n: int, mask: int,
 
 
 def _greedy_seed(adj: tuple[int, ...], mask: int, match: list[int]) -> None:
-    for u in bits(mask):
-        if match[u] == -1:
-            for v in bits(adj[u] & mask):
-                if match[v] == -1:
-                    match[u] = v
-                    match[v] = u
-                    break
+    """Match each vertex of ``mask`` that is still exposed, ascending, to
+    its least exposed neighbour; ``match`` starts with no edge in ``mask``."""
+    exposed = mask
+    while exposed:
+        low = exposed & -exposed
+        exposed ^= low
+        vs = adj[low.bit_length() - 1] & exposed
+        if vs:
+            w = vs & -vs
+            exposed ^= w
+            u, v = low.bit_length() - 1, w.bit_length() - 1
+            match[u] = v
+            match[v] = u
 
 
 def _flip(match: list[int], path: list[int]) -> None:
@@ -225,7 +241,11 @@ def _perfect_without_pair(adj: tuple[int, ...], n: int, mask: int,
     if adj[a] >> b & 1:
         match[a], match[b] = b, a
         return match
-    for x in bits(adj[a] & mask):
+    xs = adj[a] & mask
+    while xs:
+        low = xs & -xs
+        xs ^= low
+        x = low.bit_length() - 1
         y = match[x]
         if adj[b] >> y & 1:
             match[a], match[x], match[y], match[b] = x, a, b, y
@@ -243,12 +263,14 @@ def _extends_without_pair(adj: tuple[int, ...], n: int, mask: int,
     ``mask`` minus u and v, read off ``match`` with mask tests and no copy.
     With a and b the partners of u and v, it does when ab is an edge (a = v
     makes ab the edge uv) or a length-3 path a-x=y-b joins them through a
-    matched edge xy, and it does not when a has no neighbour left.  Only
-    the pairs these tests leave run _perfect_without_pair."""
+    matched edge xy, and it does not when a has no neighbour left.  The
+    pairs these tests leave run the step's last resort alone: one
+    augmenting-path search from a, on a copy with u, v, a and b exposed."""
     a, b = match[u], match[v]
     if adj[a] >> b & 1:
         return True
-    xs = adj[a] & mask & ~(1 << u | 1 << v)
+    mask &= ~(1 << u | 1 << v)
+    xs = adj[a] & mask
     if not xs:
         return False
     while xs:
@@ -256,7 +278,9 @@ def _extends_without_pair(adj: tuple[int, ...], n: int, mask: int,
         xs ^= x
         if adj[b] >> match[x.bit_length() - 1] & 1:
             return True
-    return _perfect_without_pair(adj, n, mask, match, u, v) is not None
+    match = list(match)
+    match[u] = match[v] = match[a] = match[b] = -1
+    return _augmenting_path_from(adj, n, mask, match, a) is not None
 
 
 def _mask_maximum_matching(adj: tuple[int, ...], n: int, mask: int) -> list[int]:
@@ -355,24 +379,26 @@ def enumerate_matchings(g: Graph, k: int) -> Iterator[Matching]:
     walk, so tests can hold that walk's order against it."""
     if k < 0:
         raise ValueError("matching size must be nonnegative")
-    edges = list(g.edges())
+    yield from _extend_matchings(list(g.edges()), k, 0, 0, [])
 
-    def extend(start: int, used: int, chosen: list[Edge]
-               ) -> Iterator[Matching]:
-        if len(chosen) == k:
-            yield Matching(tuple(chosen))
-            return
-        room = k - len(chosen)
-        for i in range(start, len(edges) - room + 1):
-            u, v = edges[i]
-            pair = 1 << u | 1 << v
-            if used & pair:
-                continue
-            chosen.append(edges[i])
-            yield from extend(i + 1, used | pair, chosen)
-            chosen.pop()
 
-    yield from extend(0, 0, [])
+def _extend_matchings(edges: list[Edge], k: int, start: int, used: int,
+                      chosen: list[Edge]) -> Iterator[Matching]:
+    """The size-k matchings that extend ``chosen``, covering ``used``, by
+    edges from edges[start:].  A module function, not a closure that holds
+    itself, so each enumeration is freed by reference counting."""
+    if len(chosen) == k:
+        yield Matching(tuple(chosen))
+        return
+    room = k - len(chosen)
+    for i in range(start, len(edges) - room + 1):
+        u, v = edges[i]
+        pair = 1 << u | 1 << v
+        if used & pair:
+            continue
+        chosen.append(edges[i])
+        yield from _extend_matchings(edges, k, i + 1, used | pair, chosen)
+        chosen.pop()
 
 
 def koenig_ore_deficiency(g: Graph, bp: Bipartition) -> DeficiencyWitness:

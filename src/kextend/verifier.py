@@ -24,10 +24,11 @@ run_corpus evaluates graphs in process until the corpus's projected
 serial work exceeds _POOL_AFTER_S, then hands the rest to a worker pool
 in chunks.  The projection counts the process's CPU time, not wall time,
 and waits for a tenth of the threshold's worth of it, so neither a stall
-nor one slow first graph starts a pool that the corpus does not repay.  A worker builds a range chunk itself (an external chunk is a
-batch the parent has parsed), folds it with the same _fold, and sends back
-only its tallies and violations, so no Graph or per-graph outcome
-crosses a pipe on a corpus of known size.
+nor one slow first graph starts a pool that the corpus does not repay.
+A worker builds a range chunk itself (an external chunk is a batch the
+parent has parsed), folds it with the same _fold, and sends back only its
+tallies and violations, so no Graph or per-graph outcome crosses a pipe
+on a corpus of known size.
 """
 
 from __future__ import annotations
@@ -388,10 +389,11 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
     """Run the selected properties over every corpus graph and aggregate.
     Graphs are evaluated in process until the projected serial work (the
     CPU time spent, once it reaches a tenth of _POOL_AFTER_S, scaled to
-    the whole corpus when its size is known) exceeds _POOL_AFTER_S; the rest goes to a pool of at most ``workers``
-    processes.  Output is independent of the worker count and of where
-    each graph ran: chunks are tallied and folded in graph order,
-    properties in canonical order."""
+    the whole corpus when its size is known) exceeds _POOL_AFTER_S; the
+    rest goes to a pool of at most ``workers`` processes.  Output is
+    independent of the worker count and of where each graph ran: chunks
+    are tallied and folded in graph order, properties in canonical
+    order."""
     selected = tuple(p for p in PROPERTY_IDS if p in set(properties))
     unknown = set(properties) - set(PROPERTY_IDS)
     if unknown:

@@ -196,6 +196,19 @@ class TestConnectivityBytes:
             "0b3215fd7d61edd82c3014e95c79a40feac1b7a5d86447ceb217cbbeae62624f"
 
 
+class TestExhaustiveBytes:
+    def test_verify_exhaustive_6(self, capsys, monkeypatch):
+        """Every graph on 6 vertices, every property: the stdout pins the
+        per-graph kernels (connectivity, bipartition, maximum matching and
+        the certificate walk) over all 32,768 labelled graphs."""
+        monkeypatch.setenv("KEXTEND_WORKERS", "1")
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["verify", "--exhaustive", "6"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "00984f4d6160bb759e5a794181f2fe527f4af32e2f6bd11a51f6f8cd998f4ebf"
+
+
 class TestVerify:
     def test_exhaustive_clean_exit_zero(self, capsys, monkeypatch):
         monkeypatch.setenv("KEXTEND_WORKERS", "1")
@@ -384,6 +397,21 @@ class TestVerify:
             reports.append(json.loads(out))
         assert reports[1]["properties"] == reports[0]["properties"]
         assert reports[1]["violations"] == reports[0]["violations"] == []
+
+
+class TestImportCost:
+    def test_cli_import_starts_no_pool_machinery(self, tmp_path):
+        """Importing the CLI loads neither multiprocessing nor
+        concurrent.futures: run_corpus imports the pool only when a corpus
+        repays one, so a small run pays no import for it."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, kextend.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+            capture_output=True, text=True, env=subprocess_env(),
+            cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "[]\n"
 
 
 class TestSmallGraphsScript:

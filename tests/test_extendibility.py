@@ -172,8 +172,8 @@ class TestCertificateEngine:
         """MONO-EXT over `verify --random 14 48 1` at one worker.  A walk
         that runs _perfect_without_pair for every leaf missing the memo
         makes 26,216 calls and 1,275 blossom searches here; the step now
-        runs only for the prefixes and the leaves the mask tests leave
-        open."""
+        runs only for the prefixes, and a leaf the mask tests leave open
+        runs one blossom search alone."""
         calls = Counter()
 
         def counted(name, fn):

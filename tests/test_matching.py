@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -23,6 +25,7 @@ from kextend import (
     find_augmenting_path,
     from_edges,
     has_perfect_matching,
+    is_connected,
     koenig_ore_deficiency,
     matching_number,
     maximum_matching,
@@ -282,17 +285,17 @@ class TestPerfectMatching:
         Graphs on n <= 6 are taken at their full mask, which covers every
         mask of them, since the answer depends only on the graph on the
         mask and the order of its vertices.  The dense sample takes every
-        mask, and the test checks that it leaves pairs to the step both
-        ways: the mask tests alone would answer wrong there."""
-        searched = []
-        step = matching._perfect_without_pair
+        mask, and the test checks that it leaves pairs to its fallback
+        search both ways: the mask tests alone would answer wrong there."""
+        calls, searched = [], set()
+        search = matching._augmenting_path_from
 
         def counted(*args):
-            out = step(*args)
-            searched.append(out is not None)
+            out = search(*args)
+            calls.append(out is not None)
             return out
 
-        monkeypatch.setattr(matching, "_perfect_without_pair", counted)
+        monkeypatch.setattr(matching, "_augmenting_path_from", counted)
         cases = [(g, (1 << n) - 1) for n in range(7)
                  for g in exhaustive_graphs(n)]
         rng = SplitMix64(1992)
@@ -309,12 +312,32 @@ class TestPerfectMatching:
                     left = mask & ~(1 << u | 1 << v)
                     want = (_max_matching_size(g.adj, left) * 2
                             == left.bit_count())
+                    calls.clear()
                     got = _extends_without_pair(g.adj, g.n, mask, match, u, v)
+                    searched.update(calls)
                     step_got = _perfect_without_pair(g.adj, g.n, mask,
                                                      match, u, v)
                     assert got == (step_got is not None) == want, (
                         g, mask, u, v)
-        assert True in searched and False in searched
+        assert searched == {True, False}
+
+
+class TestKernelBytes:
+    def test_witnesses_pinned(self):
+        """is_connected, bipartition (sides or odd cycle) and the maximum
+        matching's array on every graph with n <= 6, at its full mask and
+        at two sub-masks, pinned by one sha256, so a faster kernel must
+        return the same witnesses and not only the same verdicts."""
+        digest = hashlib.sha256()
+        for n in range(7):
+            full = (1 << n) - 1
+            for g in exhaustive_graphs(n):
+                for mask in (full, full & ~1, full & 0b110110):
+                    digest.update(repr((
+                        is_connected(g), bipartition(g),
+                        _mask_maximum_matching(g.adj, g.n, mask))).encode())
+        assert digest.hexdigest() == ("26885c28c64bd32fa586fc8a6a0ece56"
+                                      "d2032b6fc8600393d1b00ba410f6ed84")
 
 
 class TestMatchingNumber:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+import kextend.cli as cli
 import kextend.extendibility as extendibility
 import kextend.verifier as verifier
 from conftest import exhaustive_graphs, seeded_random_graph
@@ -13,7 +15,9 @@ from kextend import (
     CorpusSpec,
     GraphParseError,
     bipartition,
+    complete_graph,
     cycle_graph,
+    enumerate_matchings,
     extendibility_number,
     from_edges,
     generate_corpus,
@@ -615,3 +619,34 @@ class TestLazyExhibits:
         assert cert.exhibit is cert.exhibit
         assert replace(cert, graph=None) == cert
         assert replace(cert, exhibited=cert.exhibited[:1]) != cert
+
+
+class TestNoCyclicGarbage:
+    def test_evaluation_is_freed_by_refcount(self):
+        """With the cyclic collector off, evaluating graphs leaves nothing
+        for it: a fold over exhaustive n = 6 codes 20,000-20,999 (which
+        walks certificates at k >= 1), analyze records of 50 G(12, 1/2)
+        graphs, and matching enumerations run out or dropped part way."""
+        spec = CorpusSpec(mode="exhaustive", n=6)
+        rng = SplitMix64(12)
+        graphs = [seeded_random_graph(12, rng) for _ in range(50)]
+        k6 = complete_graph(6)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            tallies = verifier._new_tallies(PROPERTY_IDS)
+            violations = []
+            assert _fold(corpus_range(spec, 20000, 21000), 20000,
+                         PROPERTY_IDS, 3, tallies, violations) == 1000
+            assert violations == []
+            records = [cli.analysis_record(g, 3) for g in graphs]
+            assert len(list(enumerate_matchings(k6, 2))) == 45
+            partial = enumerate_matchings(k6, 3)
+            next(partial)
+            del partial
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(records) == 50
