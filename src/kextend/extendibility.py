@@ -139,6 +139,7 @@ class GraphFacts:
         self.size_bound = (g.n - 2) // 2
         self._certificates: dict[int, ExtendibilityCertificate] = {}
         self._k_connected: dict[int, bool] = {}
+        self._levels: dict[int, tuple[int, ...]] = {}
 
     @_once
     def connected(self) -> bool:
@@ -196,6 +197,17 @@ class GraphFacts:
                                     (1 << self.g.n) - 1)
             self._certificates[k] = cert
         return cert
+
+    def extendible_levels(self, kmax: int) -> tuple[int, ...]:
+        """The levels k in 1..kmax at which the graph is k-extendible,
+        ascending, memoized per kmax.  Each level is decided outright, so
+        monotonicity is never assumed."""
+        levels = self._levels.get(kmax)
+        if levels is None:
+            levels = self._levels[kmax] = tuple(
+                k for k in range(1, min(kmax, self.size_bound) + 1)
+                if self.certificate(k).verdict)
+        return levels
 
     def peeled_certificate(self, u: int, v: int, k: int
                            ) -> ExtendibilityCertificate:

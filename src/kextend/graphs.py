@@ -52,17 +52,31 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0 or len(self.adj) != self.n:
+        adj, n = self.adj, self.n
+        if n < 0 or len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
-        full = (1 << self.n) - 1
-        for v, mask in enumerate(self.adj):
+        full = (1 << n) - 1
+        # below[v] gathers the arcs u -> v with u < v, so it is complete
+        # when v is reached and must equal v's arcs to lower vertices: one
+        # pass over the arcs to higher vertices checks every pair
+        below = [0] * n
+        asymmetric = 0
+        for v, mask in enumerate(adj):
             if mask & ~full:
                 raise ValueError(f"vertex {v} has a neighbor out of range")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for u, v in combinations(range(self.n), 2):
-            if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
-                raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+            bit = 1 << v
+            asymmetric |= (mask & (bit - 1)) ^ below[v]
+            higher = mask >> v << v
+            while higher:
+                low = higher & -higher
+                below[low.bit_length() - 1] |= bit
+                higher ^= low
+        if asymmetric:
+            u, v = next((u, v) for u, v in combinations(range(n), 2)
+                        if (adj[u] >> v & 1) != (adj[v] >> u & 1))
+            raise ValueError(f"adjacency not symmetric at ({u}, {v})")
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)

@@ -25,10 +25,12 @@ serial work exceeds _POOL_AFTER_S, then hands the rest to a worker pool
 in chunks.  The projection counts the process's CPU time, not wall time,
 and waits for a tenth of the threshold's worth of it, so neither a stall
 nor one slow first graph starts a pool that the corpus does not repay.
-A worker builds a range chunk itself (an external chunk is a batch the
-parent has parsed), folds it with the same _fold, and sends back only its
-tallies and violations, so no Graph or per-graph outcome crosses a pipe
-on a corpus of known size.
+A worker builds a range chunk itself (an external chunk is a batch of
+_CHUNK graphs the parent has parsed), folds it with the same _fold, and
+sends back only its tallies and violations, so no Graph or per-graph
+outcome crosses a pipe on a corpus of known size.  Range chunks shrink
+as the rest does (guided self-scheduling, _guided), so a large corpus
+costs few round trips and the last chunks still even out the workers.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ EXHAUSTIVE_MAX_N = 7
 
 # run_corpus rejects a request for more worker processes than this
 _MAX_WORKERS = 256
-# a worker pool's chunk holds at most this many graphs
+# an external corpus goes to a worker pool in batches of this many parsed
+# graphs; a range corpus's guided chunks fall below it only to spread a
+# small corpus over the workers, or at the end of the range
 _CHUNK = 64
 # projected serial CPU seconds of a corpus beyond which run_corpus hands
 # the rest to a worker pool.  On 2 vCPUs (Python 3.11) two workers broke
@@ -149,12 +153,19 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
 def corpus_range(spec: CorpusSpec, start: int, stop: int) -> Iterator[Graph]:
     """Graphs start..stop-1 of an exhaustive or random corpus, built without
     the graphs before them: exhaustive graph i is edge code i, and random
-    graph i starts i * n(n-1)/2 draws into the seed's SplitMix64 stream."""
+    graph i starts i * n(n-1)/2 draws into the seed's SplitMix64 stream.
+    Bit j of an edge code is the j-th vertex pair in sorted order."""
     pairs = list(combinations(range(spec.n), 2))
     if spec.mode == "exhaustive":
         for code in range(start, stop):
-            yield from_edges(spec.n, (pairs[j] for j in range(len(pairs))
-                                      if code >> j & 1))
+            adj = [0] * spec.n
+            while code:
+                low = code & -code
+                u, v = pairs[low.bit_length() - 1]
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                code ^= low
+            yield Graph(spec.n, tuple(adj))
         return
     rng = SplitMix64(spec.seed + start * len(pairs) * GAMMA)
     for _ in range(start, stop):
@@ -211,11 +222,6 @@ def _top_level(facts: GraphFacts, kmax: int) -> int:
     return min(kmax, facts.size_bound)
 
 
-def _extendible_levels(facts: GraphFacts, first: int, kmax: int) -> list[int]:
-    return [k for k in range(first, _top_level(facts, kmax) + 1)
-            if facts.certificate(k).verdict]
-
-
 def _no_extendible_level(first: int, kmax: int) -> Outcome:
     return INAPPLICABLE, {
         "reason": f"not k-extendible for any k in {first}..{kmax}"}
@@ -224,7 +230,7 @@ def _no_extendible_level(first: int, kmax: int) -> Outcome:
 def _monotonicity(facts: GraphFacts, kmax: int) -> Outcome:
     """P21: whenever the graph is k-extendible for some 1 <= k <= kmax, it
     must be (k-1)-extendible too."""
-    levels = _extendible_levels(facts, 1, kmax)
+    levels = facts.extendible_levels(kmax)
     if not levels:
         return _no_extendible_level(1, kmax)
     for k in levels:
@@ -256,7 +262,7 @@ def _peeling(facts: GraphFacts, kmax: int) -> Outcome:
     removing both ends of any edge leaves a (k-1)-extendible graph."""
     if kmax < 2:
         return INAPPLICABLE, {"reason": "kmax below 2"}
-    levels = _extendible_levels(facts, 2, kmax)
+    levels = [k for k in facts.extendible_levels(kmax) if k >= 2]
     if not levels:
         return _no_extendible_level(2, kmax)
     for k in levels:
@@ -276,7 +282,7 @@ def _peeling(facts: GraphFacts, kmax: int) -> Outcome:
 
 def _connectivity_bound(facts: GraphFacts, kmax: int) -> Outcome:
     """T31: a k-extendible graph must be (k+1)-connected, 1 <= k <= kmax."""
-    levels = _extendible_levels(facts, 1, kmax)
+    levels = facts.extendible_levels(kmax)
     if not levels:
         return _no_extendible_level(1, kmax)
     for k in levels:
@@ -390,10 +396,11 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
     Graphs are evaluated in process until the projected serial work (the
     CPU time spent, once it reaches a tenth of _POOL_AFTER_S, scaled to
     the whole corpus when its size is known) exceeds _POOL_AFTER_S; the
-    rest goes to a pool of at most ``workers`` processes.  Output is
-    independent of the worker count and of where each graph ran: chunks
-    are tallied and folded in graph order, properties in canonical
-    order."""
+    rest goes to a pool of at most ``workers`` processes, in guided
+    chunks for an exhaustive or random corpus and in batches of _CHUNK
+    parsed graphs for an external one.  Output is independent of the
+    worker count and of where each graph ran: chunks are tallied and
+    folded in graph order, properties in canonical order."""
     selected = tuple(p for p in PROPERTY_IDS if p in set(properties))
     unknown = set(properties) - set(PROPERTY_IDS)
     if unknown:
@@ -429,11 +436,8 @@ def run_corpus(spec: CorpusSpec, properties: Iterable[str], kmax: int = 3,
         tasks: Iterator[Chunk] = _batches(spec, graphs, processed, selected,
                                           kmax)
     else:
-        # about four chunks per worker, so a small rest is spread too
-        rest = count - processed
-        size = max(1, min(_CHUNK, -(-rest // (4 * workers))))
-        tasks = ((spec, first, min(first + size, count), selected, kmax)
-                 for first in range(processed, count, size))
+        tasks = ((spec, first, stop, selected, kmax)
+                 for first, stop in _guided(processed, count, workers))
     # never more workers than chunks, and no pool for a single chunk
     head = list(islice(tasks, workers))
     if len(head) > 1:
@@ -469,6 +473,24 @@ def _corpus_size(spec: CorpusSpec) -> Optional[int]:
     if spec.mode == "exhaustive":
         return 1 << (spec.n * (spec.n - 1) // 2)
     return spec.count if spec.mode == "random" else None
+
+
+def _guided(first: int, stop: int, workers: int
+            ) -> Iterator[tuple[int, int]]:
+    """Graphs first..stop-1 as guided self-scheduling chunks (Polychronopoulos
+    and Kuck 1987), each a (first, stop) pair: each chunk is half of one
+    worker's share of the graphs not yet handed out, so few round trips
+    carry a large corpus, and the tail goes out in small chunks that even
+    out the workers' finishing times.  No chunk but the last falls below
+    a floor of _CHUNK graphs, or of a quarter of one worker's share of the
+    whole range when that is less, so no range has more chunks than it
+    would in chunks of that floor."""
+    floor = max(1, min(_CHUNK, -(-(stop - first) // (4 * workers))))
+    while first < stop:
+        remaining = stop - first
+        size = min(remaining, max(floor, -(-remaining // (2 * workers))))
+        yield first, first + size
+        first += size
 
 
 def _batches(spec: CorpusSpec, graphs: Iterator[Graph], first: int,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 
@@ -39,6 +41,18 @@ class TestGraphType:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             Graph(2, (2, 0))  # 0->1 present, 1->0 missing
+
+    @pytest.mark.parametrize("adj, pair", [
+        # edge 01 is symmetric; 0->2, 0->3 and 3->1 have no reverse
+        ((0b1110, 0b0001, 0b0000, 0b0010), "(0, 2)"),
+        # 2->1, 3->0 and 3->1 have no reverse: the least pair's one
+        # arc leaves its larger end
+        ((0b0000, 0b0000, 0b0010, 0b0011), "(0, 3)"),
+    ])
+    def test_asymmetry_names_the_least_pair(self, adj, pair):
+        with pytest.raises(ValueError, match=re.escape(
+                f"adjacency not symmetric at {pair}")):
+            Graph(4, adj)
 
     def test_duplicate_edges_collapse(self):
         g = from_edges(2, [(0, 1), (1, 0), (0, 1)])

@@ -44,6 +44,7 @@ from kextend.verifier import (
     _chunk,
     _corpus_size,
     _fold,
+    _guided,
     corpus_range,
     report_json,
 )
@@ -189,6 +190,10 @@ class TestGraphFacts:
                     assert ((cert.verdict, cert.reason, witness)
                             == brute_force_is_k_extendible(g, k)), (g, k)
                 assert facts.extendibility_number == extendibility_number(g)
+                for kmax in (1, 3):
+                    assert facts.extendible_levels(kmax) == tuple(
+                        k for k in range(1, kmax + 1)
+                        if is_k_extendible(g, k).verdict)
                 kappa = 0
                 if n:
                     kappa, witness = vertex_connectivity(g)
@@ -207,6 +212,16 @@ class TestGraphFacts:
         facts = GraphFacts(k33)
         assert facts.certificate(2) is facts.certificate(2)
         assert GraphFacts(k33).certificate(2) is not facts.certificate(2)
+
+    def test_extendible_levels_up_to_the_size_bound(self, k33, k44, c8):
+        # K(n, n) is (n-1)-extendible and no more; an even cycle is only
+        # 1-extendible; K6 is 2-extendible, and 3 exceeds its size bound
+        for g, levels in ((k33, (1, 2)), (k44, (1, 2, 3)), (c8, (1,)),
+                          (complete_graph(6), (1, 2)), (path_graph(4), ())):
+            facts = GraphFacts(g)
+            assert facts.extendible_levels(3) == levels
+            assert facts.extendible_levels(3) is facts.extendible_levels(3)
+            assert facts.extendible_levels(1) == levels[:1]
 
 
 def _recorded(monkeypatch, name):
@@ -420,9 +435,9 @@ class TestViolationPlumbing:
         plant(monkeypatch, "KO", planted, {"planted": True})
         serial, chunked = (run_corpus(spec, ("P22", "KO"), kmax=1,
                                       workers=workers) for workers in (1, 2))
-        # graph 0 ran in process, then chunks of 64 from graph 1 on, so
-        # graph 700 lies inside the eleventh chunk, 641..704
-        assert pools == [(2, [64] * 15 + [63])]
+        # graph 0 ran in process, then guided chunks from graph 1 on, so
+        # graph 700 is the last of the fourth chunk, 593..700
+        assert pools == [(2, [256, 192, 144, 108, 81, 64, 64, 64, 50])]
         for report in (serial, chunked):
             assert report.violations == ({
                 "property": "KO",
@@ -488,10 +503,11 @@ class TestWorkerPool:
         run_corpus(spec, ("MONO-EXT",), kmax=3, workers=2)
         assert pools == []
         # at 0.288 s the rest goes out once 0.025 s of work is done, after
-        # graph 4, in about four chunks per worker, so both workers get some
+        # graph 4, in guided chunks no smaller than 6, so both workers get
+        # some
         cost = 0.006
         run_corpus(spec, ("MONO-EXT",), kmax=3, workers=2)
-        assert pools == [(2, [6] * 7 + [1])]
+        assert pools == [(2, [11, 8, 6, 6, 6, 6])]
 
     @pytest.mark.parametrize("stall", ["wall", "first graph"])
     def test_small_corpus_ignores_a_stall(self, pools, monkeypatch, stall):
@@ -534,17 +550,42 @@ class TestWorkerPool:
         report = run_corpus(spec, PROPERTY_IDS, workers=2)
         assert report.graphs_processed == 1 and pools == []
 
-    def test_large_and_external_corpora_keep_chunks_of_64(self, pools, eager,
-                                                         tmp_path):
+    def test_large_range_corpus_gets_guided_chunks(self, pools, eager):
         spec = CorpusSpec(mode="random", n=4, count=1000, seed=2)
         run_corpus(spec, ("KO",), kmax=1, workers=2)
+        # graph 0 runs in process; each chunk is a quarter of the rest, but
+        # no fewer than 64 graphs, so 9 chunks instead of 16 of 64
+        assert pools == [(2, [250, 188, 141, 105, 79, 64, 64, 64, 44])]
+
+    def test_external_corpus_keeps_batches_of_64(self, pools, eager,
+                                                 tmp_path):
+        spec = CorpusSpec(mode="random", n=4, count=1000, seed=2)
         path = tmp_path / "corpus.g6"
         path.write_text("".join(to_graph6(g) + "\n"
                                 for g in generate_corpus(spec)))
         run_corpus(CorpusSpec(mode="external", source=str(path)), ("KO",),
                    kmax=1, workers=2)
-        # graph 0 runs in process either way
-        assert pools == [(2, [64] * 15 + [39])] * 2
+        # graph 0 runs in process
+        assert pools == [(2, [64] * 15 + [39])]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8, 64, _MAX_WORKERS])
+    @pytest.mark.parametrize("first", [0, 5])
+    def test_guided_chunks_cover_the_range(self, workers, first):
+        for rest in (0, 1, 2, 7, 63, 64, 65, 255, 256, 1000, 4095, 32767):
+            chunks = list(_guided(first, first + rest, workers))
+            floor = max(1, min(64, -(-rest // (4 * workers))))
+            sizes = [stop - start for start, stop in chunks]
+            # consecutive and nonempty, from first to first + rest
+            bounds = [first] + [stop for _, stop in chunks]
+            assert chunks == list(zip(bounds, bounds[1:]))
+            assert bounds[-1] == first + rest and all(sizes)
+            # never smaller than the floor but at the end, never growing,
+            # and never more chunks than in chunks of the floor
+            assert all(size >= floor for size in sizes[:-1])
+            assert sizes == sorted(sizes, reverse=True)
+            assert len(chunks) <= -(-rest // floor)
+        # a corpus of 32,768 graphs at two workers: 21 chunks, not 512
+        assert len(list(_guided(0, 32768, 2))) == 21
 
     @pytest.mark.parametrize("workers", [0, _MAX_WORKERS + 1, 100_000])
     def test_worker_count_out_of_range_starts_no_pool(self, monkeypatch,
