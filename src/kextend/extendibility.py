@@ -15,8 +15,10 @@ matching of G - V(prefix), derived from depth d - 1's by one short
 alternating-path step when a leaf below first misses the memo.  A prefix
 whose step fails has no perfect matching left, so every leaf below it is
 blocked.  The leaves need only a yes or no: the last depth's own loop
-reads each from its prefix's matching by mask tests, with no copy, and
-runs one blossom search only for the leaves those tests leave open.  The
+reads each from its prefix's matching by mask tests for alternating paths
+of length 5 at most, with no copy.  Those tests, and the step's, are exact
+when at most 6 vertices are left, so a leaf or a step runs one blossom
+search only on a larger mask that the tests leave open.  The
 walk's recursive closure holds itself through its cell, so the cell is
 emptied when the walk ends: the walk is then freed by reference counting,
 and evaluating a graph leaves nothing for the cyclic collector.  The
@@ -227,12 +229,16 @@ class GraphFacts:
         return ExtendibilityCertificate(True, k) if cert.verdict else cert
 
     @_once
+    def profile(self) -> tuple[ExtendibilityCertificate, ...]:
+        """The certificates at levels 0..size_bound, ascending, each level
+        decided outright, so monotonicity is never assumed."""
+        return tuple(self.certificate(k) for k in range(self.size_bound + 1))
+
+    @_once
     def extendibility_number(self) -> Optional[int]:
         """Largest k for which the graph is k-extendible, or None when it is
-        not even 0-extendible.  Every level up to the size bound is checked
-        outright, so monotonicity is never assumed."""
-        passing = [k for k in range(self.size_bound + 1)
-                   if self.certificate(k).verdict]
+        not even 0-extendible, read off ``profile``."""
+        passing = [k for k, cert in enumerate(self.profile) if cert.verdict]
         return max(passing) if passing else None
 
 

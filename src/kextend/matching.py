@@ -11,11 +11,16 @@ their set bits inline rather than through graphs.bits.
 
 _perfect_without_pair is the certificate walk's one step: from a perfect
 matching of the graph on a vertex mask it derives one of the mask minus
-the two ends of an edge, trying the direct edge and a length-3 path
-before it pays for a blossom search.  The walk derives its prefixes'
-matchings with it.  Its leaves only need a yes or no, which
-_extends_without_pair reads off the prefix's matching with mask tests and
-no copy; only for the leaves those tests leave open does it copy the
+the two ends u and v of an edge.  Their partners a and b are then the
+only exposed vertices, so such a matching exists exactly when an
+augmenting path joins a and b.  The step tries the edge ab, a length-3
+path and a length-5 path, by mask tests, before it pays for a blossom
+search.  The path is simple, so its length is odd and below the number
+of vertices left: with at most 6 left, the mask tests are exact and no
+search runs.  The walk derives its prefixes' matchings with the step.
+Its leaves only need a yes or no, which _extends_without_pair reads off
+the prefix's matching with the same mask tests and no copy; only for a
+mask of 8 or more vertices that those tests leave open does it copy the
 match and run the blossom search, without repeating the tests.
 """
 
@@ -227,9 +232,13 @@ def _perfect_without_pair(adj: tuple[int, ...], n: int, mask: int,
     """A perfect match of the graph on ``mask`` minus u and v, for an edge
     uv inside ``mask``, derived in one step from ``match``, a perfect match
     there with -1 outside ``mask``; None when there is none.  Dropping u
-    and v exposes at most their partners a and b.  They are rejoined by
-    the edge ab, else by a length-3 path a-x=y-b through a matched edge
-    xy, else by one augmenting-path search from a, which can only end at
+    and v exposes at most their partners a and b, the only exposed
+    vertices left, so a perfect match exists exactly when an augmenting
+    path joins them.  The step flips the first it finds of the edge ab, a
+    length-3 path a-x=y-b and a length-5 path a-x=y-x2=y2-b.  Such a path
+    is simple, so its length is odd and below the number of vertices
+    left: with at most 6 left the three tests decide, and only a larger
+    mask pays for one augmenting-path search from a, which can only end at
     b, so when it fails the match is maximum and not perfect."""
     match = list(match)
     a, b = match[u], match[v]
@@ -250,11 +259,40 @@ def _perfect_without_pair(adj: tuple[int, ...], n: int, mask: int,
         if adj[b] >> y & 1:
             match[a], match[x], match[y], match[b] = x, a, b, y
             return match
-    path = _augmenting_path_from(adj, n, mask, match, a)
+    path = _path_of_length_5(adj, mask, match, a, b)
+    if path is None and mask.bit_count() > 6:
+        path = _augmenting_path_from(adj, n, mask, match, a)
     if path is None:
         return None
     _flip(match, path)
     return match
+
+
+def _path_of_length_5(adj: tuple[int, ...], mask: int, match: list[int],
+                      a: int, b: int) -> list[int] | None:
+    """The least alternating path a-x=y-x2=y2-b inside ``mask``, x first,
+    where ``match`` pairs every vertex of ``mask`` but a and b within it
+    and no length-3 path a-x=y-b exists.  ``ends`` holds each x2 whose
+    partner y2 is a neighbour of b.  Neither x nor y is in
+    ``adj[y] & ends``: x would close a length-3 path, and y is not its own
+    neighbour."""
+    ends = 0
+    ys = adj[b] & mask
+    while ys:
+        low = ys & -ys
+        ys ^= low
+        ends |= 1 << match[low.bit_length() - 1]
+    xs = adj[a] & mask
+    while xs:
+        low = xs & -xs
+        xs ^= low
+        x = low.bit_length() - 1
+        y = match[x]
+        x2s = adj[y] & ends
+        if x2s:
+            x2 = (x2s & -x2s).bit_length() - 1
+            return [a, x, y, x2, match[x2], b]
+    return None
 
 
 def _extends_without_pair(adj: tuple[int, ...], n: int, mask: int,
@@ -262,9 +300,11 @@ def _extends_without_pair(adj: tuple[int, ...], n: int, mask: int,
     """Whether _perfect_without_pair finds a perfect match of the graph on
     ``mask`` minus u and v, read off ``match`` with mask tests and no copy.
     With a and b the partners of u and v, it does when ab is an edge (a = v
-    makes ab the edge uv) or a length-3 path a-x=y-b joins them through a
-    matched edge xy, and it does not when a has no neighbour left.  The
-    pairs these tests leave run the step's last resort alone: one
+    makes ab the edge uv) or an alternating path a-x=y-b or
+    a-x=y-x2=y2-b joins them, and it does not when a has no neighbour
+    left, or when at most 6 vertices are left, since an augmenting path
+    between a and b then has length 5 at most.  Only a larger mask that
+    these tests leave open runs the step's last resort alone: one
     augmenting-path search from a, on a copy with u, v, a and b exposed."""
     a, b = match[u], match[v]
     if adj[a] >> b & 1:
@@ -278,6 +318,10 @@ def _extends_without_pair(adj: tuple[int, ...], n: int, mask: int,
         xs ^= x
         if adj[b] >> match[x.bit_length() - 1] & 1:
             return True
+    if _path_of_length_5(adj, mask, match, a, b) is not None:
+        return True
+    if mask.bit_count() <= 6:
+        return False
     match = list(match)
     match[u] = match[v] = match[a] = match[b] = -1
     return _augmenting_path_from(adj, n, mask, match, a) is not None

@@ -366,8 +366,7 @@ def _extendibility_profile(facts: GraphFacts, kmax: int) -> Outcome:
     bound = facts.size_bound
     if ext > bound:
         return VIOLATED, {"extendibility_number": ext, "size_bound": bound}
-    for k in range(bound + 1):
-        cert = facts.certificate(k)
+    for k, cert in enumerate(facts.profile):
         if cert.verdict != (k <= ext):
             return VIOLATED, {
                 "extendibility_number": ext,

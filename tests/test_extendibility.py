@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from itertools import islice
 
@@ -191,6 +192,44 @@ class TestCertificateEngine:
         run_corpus(spec, ["MONO-EXT"], kmax=3, workers=1)
         assert calls["step"] < 26_216 // 4
         assert calls["search"] <= 1_275
+
+    def test_six_vertices_need_no_search_for_a_leaf_or_step(self,
+                                                           monkeypatch):
+        """On every graph with n <= 6, at every level, the walk and every
+        peeled walk settle each leaf and each step by mask tests: removing
+        u and v leaves at most 4 vertices, so no augmenting path joining
+        their partners is longer than 3.  Only the maximum matching's
+        growth runs a blossom search."""
+        searches, kernel = Counter(), Counter()
+        search = matching._augmenting_path_from
+
+        def counted_search(*args):
+            searches[sys._getframe(1).f_code.co_name] += 1
+            return search(*args)
+
+        def counted(name):
+            fn = getattr(extendibility, name)
+
+            def wrapper(*args):
+                kernel[name] += 1
+                return fn(*args)
+            return wrapper
+
+        names = ("_extends_without_pair", "_perfect_without_pair")
+        monkeypatch.setattr(matching, "_augmenting_path_from", counted_search)
+        for name in names:
+            monkeypatch.setattr(extendibility, name, counted(name))
+        for n in range(7):
+            for g in exhaustive_graphs(n):
+                facts = GraphFacts(g)
+                for k in range(facts.size_bound + 1):
+                    facts.certificate(k)
+                if facts.perfect:
+                    for k in range(facts.size_bound):
+                        for u, v in g.edges():
+                            facts.peeled_certificate(u, v, k)
+        assert all(kernel[name] for name in names)
+        assert set(searches) == {"_grow_maximum"}
 
 
 class TestBruteForceOracle:

@@ -254,6 +254,31 @@ class TestPerfectMatching:
                 assert ext.size * 2 == g.n
                 validate_matching(g, ext)
 
+    def test_length_7_path_reaches_the_search(self, monkeypatch):
+        """C10 less the edge 0-9 is the path 0..9; with u = 0 and v = 9
+        removed from the match 01, 23, 45, 67, 89, the exposed 1 and 8 are
+        joined only by 1-2=3-4=5-6=7-8, of length 7.  Eight vertices are
+        left, too many for the mask tests to decide alone, so the leaf
+        test and the step each run the blossom search once, and it
+        succeeds."""
+        calls = []
+        search = matching._augmenting_path_from
+
+        def counted(*args):
+            out = search(*args)
+            calls.append(out is not None)
+            return out
+
+        monkeypatch.setattr(matching, "_augmenting_path_from", counted)
+        g, full = cycle_graph(10), (1 << 10) - 1
+        match = [1, 0, 3, 2, 5, 4, 7, 6, 9, 8]
+        assert _extends_without_pair(g.adj, g.n, full, match, 0, 9)
+        assert calls == [True]
+        got = _perfect_without_pair(g.adj, g.n, full, match, 0, 9)
+        assert calls == [True, True]
+        assert got == [-1, 2, 1, 4, 3, 6, 5, 8, 7, -1]
+        assert_perfect_inside(g, full & ~(1 | 1 << 9), got)
+
     def test_warm_start_against_oracle(self):
         # every graph on n <= 6, every removed set S whose complement has a
         # perfect match, and every edge uv left after removing S
@@ -281,12 +306,15 @@ class TestPerfectMatching:
 
     def test_leaf_test_against_oracle(self, monkeypatch):
         """_extends_without_pair answers as _perfect_without_pair and the
-        oracle do, for every edge uv of every mask with a perfect match.
+        oracle do, for every edge uv of every mask with a perfect match,
+        and the step's match is a perfect match of the mask minus u and v.
         Graphs on n <= 6 are taken at their full mask, which covers every
         mask of them, since the answer depends only on the graph on the
         mask and the order of its vertices.  The dense sample takes every
-        mask, and the test checks that it leaves pairs to its fallback
-        search both ways: the mask tests alone would answer wrong there."""
+        mask; its pairs are nearly all settled by paths of length 5 at
+        most.  The sparse sample, at its full mask, leaves pairs to the
+        fallback search both ways, which the test checks: the mask tests
+        alone would answer wrong there."""
         calls, searched = [], set()
         search = matching._augmenting_path_from
 
@@ -303,6 +331,10 @@ class TestPerfectMatching:
             for p in (0.6, 0.75, 0.9):
                 g = seeded_random_graph(n, rng, p)
                 cases += [(g, mask) for mask in range(1 << n)]
+        for n, p in ((12, 0.3), (12, 0.4), (14, 0.3)):
+            for _ in range(100):
+                g = seeded_random_graph(n, rng, p)
+                cases.append((g, (1 << n) - 1))
         for g, mask in cases:
             if _max_matching_size(g.adj, mask) * 2 != mask.bit_count():
                 continue
@@ -319,6 +351,8 @@ class TestPerfectMatching:
                                                      match, u, v)
                     assert got == (step_got is not None) == want, (
                         g, mask, u, v)
+                    if step_got is not None:
+                        assert_perfect_inside(g, left, step_got)
         assert searched == {True, False}
 
 

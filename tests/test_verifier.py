@@ -175,6 +175,37 @@ class TestPropertyChecks:
         assert check("MONO-EXT", p4)[0] == HOLDS
         assert check("MONO-EXT", path_graph(3))[0] == INAPPLICABLE
 
+    def test_extendibility_profile_reads_each_level_once(self, monkeypatch,
+                                                         k33, c8, p4):
+        """MONO-EXT decides every level 0..size_bound outright and asks
+        GraphFacts.certificate for each of them once."""
+        asked = []
+        certificate = GraphFacts.certificate
+
+        def counted(facts, k):
+            asked.append(k)
+            return certificate(facts, k)
+
+        monkeypatch.setattr(GraphFacts, "certificate", counted)
+        for g in (k33, c8, p4, path_graph(3), complete_graph(8)):
+            asked.clear()
+            facts = GraphFacts(g)
+            PROPERTIES["MONO-EXT"](facts, 1)
+            assert asked == list(range(facts.size_bound + 1)), g
+
+    def test_extendibility_profile_violation_payload(self, monkeypatch):
+        """A level below the extendibility number that fails is reported
+        with that number, its level and its certificate."""
+        planted = ExtendibilityCertificate(False, 1, reason="BlockedMatching")
+        certificate = GraphFacts.certificate
+        monkeypatch.setattr(GraphFacts, "certificate", lambda facts, k:
+                            planted if k == 1 else certificate(facts, k))
+        assert check("MONO-EXT", complete_graph(8)) == (VIOLATED, {
+            "extendibility_number": 3,
+            "k": 1,
+            "certificate": certificate_json(planted),
+        })
+
 
 class TestGraphFacts:
     def test_each_fact_equals_its_library_call(self):
