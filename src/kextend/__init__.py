@@ -19,7 +19,6 @@ from .graphs import (
     delete_vertices,
     empty_graph,
     from_edges,
-    is_bipartite,
     is_connected,
     min_degree,
     neighborhood,
@@ -33,7 +32,6 @@ from .matching import (
     AlternatingPath,
     DeficiencyWitness,
     Matching,
-    augment,
     enumerate_matchings,
     extends_to_perfect,
     find_augmenting_path,
@@ -45,7 +43,6 @@ from .matching import (
 from .connectivity import (
     CutWitness,
     is_k_connected,
-    min_vertex_cut,
     vertex_connectivity,
 )
 from .extendibility import (
@@ -54,7 +51,6 @@ from .extendibility import (
     extendibility_number,
     hall_surplus_check,
     is_k_extendible,
-    is_k_extendible_bipartite,
     peel,
 )
 from .verifier import (

@@ -35,19 +35,6 @@ class CutWitness:
     separated: tuple[int, int]
 
 
-def min_vertex_cut(g: Graph, u: int, v: int) -> CutWitness:
-    """Minimum-size vertex set, disjoint from {u, v}, separating u from v.
-    Requires u and v distinct and non-adjacent."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise ValueError("endpoints must be distinct")
-    if g.has_edge(u, v):
-        raise ValueError("adjacent endpoints admit no finite vertex cut")
-    cut = _pair_cut(g, u, v)
-    return CutWitness(cut, (u, v))
-
-
 def vertex_connectivity(g: Graph) -> tuple[int, Optional[CutWitness]]:
     """Vertex connectivity with a witness cut whenever one exists, i.e.
     whenever the connectivity is below n - 1.  Conventions: complete graphs
@@ -102,13 +89,13 @@ def is_k_connected(g: Graph, k: int) -> bool:
 
 
 def _pair_cut(g: Graph, s: int, t: int,
-              limit: int | None = None) -> tuple[int, ...] | None:
+              limit: int) -> tuple[int, ...] | None:
     """Source-side minimum s-t vertex cut for distinct non-adjacent s, t,
     by augmenting BFS on the implicit split digraph, warm-started from
-    vertex-disjoint paths of two and three edges.  With ``limit``, gives up
-    (returns None) once the flow value reaches it, warm paths included,
-    possibly before any search: such a cut cannot improve on the current
-    best, nor fall below a threshold."""
+    vertex-disjoint paths of two and three edges.  Gives up (returns None)
+    once the flow value reaches ``limit``, warm paths included, possibly
+    before any search: such a cut cannot improve on the current best, nor
+    fall below a threshold."""
     pred = [-1] * g.n
     source, sink = 2 * s + 1, 2 * t
     # warm start: s-a-t through each common neighbour a; s-a-b-t pairing
@@ -126,7 +113,7 @@ def _pair_cut(g: Graph, s: int, t: int,
         pred[a] = s
         flow += 1
     while True:
-        if limit is not None and flow >= limit:
+        if flow >= limit:
             return None
         parent = [-1] * (2 * g.n)
         parent[source] = source

@@ -27,9 +27,8 @@ exhibited extensions come from extends_to_perfect, computed when
 
 GraphFacts is the one entry to that engine: it answers the preconditions
 from the facts it holds and starts every level's stack, and that of each
-G - u - v in G's labels, from one maximum matching.  The one-shots and
-the bipartite checker each build one; the bipartite checker takes its
-verdict from the surplus scan below and its blocked witness from the engine.
+G - u - v in G's labels, from one maximum matching.  The one-shots each
+build one.
 
 For balanced bipartite graphs the same verdict follows from a surplus
 condition on one side: |N(A)| >= |A| + k for every nonempty A within X of
@@ -349,7 +348,10 @@ def hall_surplus_check(g: Graph, bp: Bipartition,
     """Exhaustive surplus scan: None when |N(A)| >= |A| + k for every
     A within X, 1 <= |A| <= |X| - k; otherwise the lexicographically least
     violator of minimum size.  Vacuously None when |X| - k < 1."""
-    _check_balanced(g, bp)
+    check_bipartition(g, bp)
+    if len(bp.x) != len(bp.y):
+        raise ValueError("sides must be balanced; unbalanced graphs have no "
+                         "perfect matching")
     if k < 1:
         raise ValueError("surplus level must be at least 1")
     if len(bp.x) > HALL_SCAN_MAX_SIDE:
@@ -362,38 +364,6 @@ def hall_surplus_check(g: Graph, bp: Bipartition,
             if nbhd.bit_count() < size + k:
                 return HallViolator(subset, nbhd.bit_count())
     return None
-
-
-def is_k_extendible_bipartite(g: Graph, bp: Bipartition,
-                              k: int) -> ExtendibilityCertificate:
-    """Decide k-extendibility of a balanced bipartite graph through the
-    surplus condition instead of matching enumeration.  Agrees with
-    is_k_extendible on every input; hypothesis failures reuse the
-    definitional reason codes, and a no-verdict carries the definitional
-    witness, the lexicographically least blocked matching."""
-    _check_balanced(g, bp)
-    if k < 1:
-        raise ValueError("extendibility level must be at least 1 here")
-    facts = GraphFacts(g)
-    failed = facts._unmet_precondition(k)
-    if failed is not None:
-        return failed
-    violator = hall_surplus_check(g, bp, k)
-    if violator is None:
-        return ExtendibilityCertificate(True, k)
-    witness = facts.certificate(k).witness
-    if witness is None:
-        raise RuntimeError("surplus violator exists but every size-k "
-                           "matching extends; checkers disagree")
-    return ExtendibilityCertificate(False, k, reason=BLOCKED_MATCHING,
-                                    witness=witness)
-
-
-def _check_balanced(g: Graph, bp: Bipartition) -> None:
-    check_bipartition(g, bp)
-    if len(bp.x) != len(bp.y):
-        raise ValueError("sides must be balanced; unbalanced graphs have no "
-                         "perfect matching")
 
 
 def peel(g: Graph, e: tuple[int, int]) -> tuple[Graph, dict[int, int]]:

@@ -83,14 +83,6 @@ class Graph:
         self._check_vertex(v)
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> VertexSet:
-        self._check_vertex(v)
-        return tuple(bits(self.adj[v]))
-
     def edges(self) -> Iterator[Edge]:
         """Canonical edge stream: u < v, sorted lexicographically."""
         for u in range(self.n):
@@ -304,20 +296,12 @@ def to_edge_list(g: Graph) -> str:
 # neighborhoods, degrees, deletion, components
 
 
-def neighborhood(g: Graph, s: Iterable[int],
-                 within: Iterable[int] | None = None) -> VertexSet:
+def neighborhood(g: Graph, s: Iterable[int]) -> VertexSet:
     """Vertices adjacent to at least one member of ``s``; may intersect
-    ``s``.  With ``within``, both the sources and the reported neighbors are
-    restricted to the induced subgraph on ``within``."""
-    src = check_vertex_set(g, s)
-    if within is None:
-        scope = (1 << g.n) - 1
-    else:
-        scope = vertex_mask(check_vertex_set(g, within))
+    ``s``."""
     out = 0
-    for v in src:
-        if scope >> v & 1:
-            out |= g.adj[v] & scope
+    for v in check_vertex_set(g, s):
+        out |= g.adj[v]
     return tuple(bits(out))
 
 
@@ -472,7 +456,3 @@ def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
     lca = w
     cycle = up[:seen[lca] + 1] + vp[-2::-1]
     return tuple(cycle)
-
-
-def is_bipartite(g: Graph) -> bool:
-    return isinstance(bipartition(g), Bipartition)

@@ -352,37 +352,6 @@ def find_augmenting_path(g: Graph, m: Matching) -> Optional[AlternatingPath]:
     return None
 
 
-def _check_augmenting(g: Graph, m: Matching, p: AlternatingPath) -> None:
-    vs = p.vertices
-    if len(vs) < 2 or len(vs) % 2:
-        raise ValueError("augmenting path needs an odd number of edges")
-    if len(set(vs)) != len(vs):
-        raise ValueError("path revisits a vertex")
-    matched = set(m.edges)
-    covered = m.covered_mask()
-    if covered >> vs[0] & 1 or covered >> vs[-1] & 1:
-        raise ValueError("path endpoints must be uncovered")
-    for i in range(len(vs) - 1):
-        u, v = vs[i], vs[i + 1]
-        if not g.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge of the graph")
-        edge = (u, v) if u < v else (v, u)
-        if (edge in matched) != (i % 2 == 1):
-            raise ValueError("path edges do not alternate with the matching")
-
-
-def augment(g: Graph, m: Matching, p: AlternatingPath) -> Matching:
-    """Symmetric difference of the matching with the path's edge set; grows
-    the matching by exactly one edge and covers both path endpoints."""
-    validate_matching(g, m)
-    _check_augmenting(g, m, p)
-    vs = p.vertices
-    path_edges = {tuple(sorted((vs[i], vs[i + 1]))) for i in range(len(vs) - 1)}
-    kept = [e for e in m.edges if e not in path_edges]
-    gained = sorted(path_edges - set(m.edges))
-    return Matching.of(kept + gained)
-
-
 def maximum_matching(g: Graph) -> Matching:
     """A maximum matching, deterministic for a fixed graph: greedy seed in
     ascending order, then augmenting-path growth."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from conftest import exhaustive_graphs, graphs, seeded_random_graph
 from kextend import (
+    CutWitness,
     complete_graph,
     components,
     delete_vertices,
@@ -15,7 +16,6 @@ from kextend import (
     from_edges,
     is_k_connected,
     min_degree,
-    min_vertex_cut,
     vertex_connectivity,
 )
 from kextend.connectivity import _pair_cut
@@ -108,28 +108,30 @@ class TestIsKConnected:
 
 
 class TestMinVertexCut:
+    """Pair cuts by _pair_cut with limit n, which no flow reaches."""
+
     def test_c4_antipodal(self, c4):
-        out = min_vertex_cut(c4, 0, 2)
-        assert out.cut == (1, 3)
-        _check_cut(c4, out)
+        cut = _pair_cut(c4, 0, 2, limit=c4.n)
+        assert cut == (1, 3)
+        _check_cut(c4, CutWitness(cut, (0, 2)))
 
     def test_p4_lexicographically_least(self, p4):
-        assert min_vertex_cut(p4, 0, 3).cut == (1,)
+        assert _pair_cut(p4, 0, 3, limit=p4.n) == (1,)
 
     def test_warm_path_rerouted(self):
         """The warm start takes 0-1-3-5, so 0-2-3-5 is blocked at 3 and
         the second path needs the backward arc through 3: 0-2-3~1-4-5."""
         g = from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5),
                            (4, 5)])
-        assert min_vertex_cut(g, 0, 5).cut == (1, 2)
+        assert _pair_cut(g, 0, 5, limit=g.n) == (1, 2)
         assert _pair_cut(g, 0, 5, limit=2) is None
         assert _pair_cut(g, 0, 5, limit=3) == (1, 2)
-
-    def test_rejects_adjacent_or_equal(self, c4):
-        with pytest.raises(ValueError):
-            min_vertex_cut(c4, 0, 1)
-        with pytest.raises(ValueError):
-            min_vertex_cut(c4, 2, 2)
+        # the one path 3-0-4-2-5 enters 2 through 4, so the last search
+        # backs from 2 into 4's out-side and reaches 0's out-side only by
+        # the arc to 4's own in-side: without it 0 would look cut too
+        g = from_edges(7, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 3), (1, 6),
+                           (2, 4), (2, 5), (2, 6)])
+        assert _pair_cut(g, 3, 5, limit=g.n) == (2,)
 
     def test_size_matches_brute_force_separator(self):
         rng = SplitMix64(11)
@@ -141,9 +143,9 @@ class TestMinVertexCut:
             if not pairs or not _same_component(g, pairs[0]):
                 continue
             u, v = pairs[0]
-            out = min_vertex_cut(g, u, v)
-            _check_cut(g, out)
-            assert len(out.cut) == _brute_force_separator_size(g, u, v)
+            cut = _pair_cut(g, u, v, limit=g.n)
+            _check_cut(g, CutWitness(cut, (u, v)))
+            assert len(cut) == _brute_force_separator_size(g, u, v)
             checked += 1
 
 
@@ -187,7 +189,7 @@ class TestCanonicalWitness:
     def test_pair_cut_is_closest_min_separator(self):
         for g, u, v in _pairs():
             kappa, closest = _closest_min_separator(g, u, v)
-            assert min_vertex_cut(g, u, v).cut == closest
+            assert _pair_cut(g, u, v, limit=g.n) == closest
             for limit in range(1, 5):
                 got = _pair_cut(g, u, v, limit=limit)
                 assert got == (None if kappa >= limit else closest)

@@ -29,7 +29,6 @@ from kextend import (
     has_perfect_matching,
     is_connected,
     is_k_extendible,
-    is_k_extendible_bipartite,
     neighborhood,
     path_graph,
     peel,
@@ -366,6 +365,9 @@ class TestHallSurplus:
     def test_rejects_unbalanced(self, k13):
         with pytest.raises(ValueError):
             hall_surplus_check(k13, Bipartition((0,), (1, 2, 3)), 1)
+        star = from_edges(4, [(0, 1), (1, 2), (1, 3)])
+        with pytest.raises(ValueError):
+            hall_surplus_check(star, bipartition(star), 1)
 
     def test_rejects_level_zero(self, c4):
         with pytest.raises(ValueError):
@@ -373,28 +375,19 @@ class TestHallSurplus:
 
 
 class TestBipartiteChecker:
+    """T32's comparison: on a connected balanced bipartite graph with a
+    perfect matching, the surplus scan finds no violator exactly when the
+    definitional certificate says yes."""
+
     def test_k33_agrees_yes(self, k33):
-        bp = bipartition(k33)
-        assert is_k_extendible_bipartite(k33, bp, 2).verdict
-        assert is_k_extendible(k33, 2).verdict
+        assert hall_surplus_check(k33, bipartition(k33), 2) is None
+        assert GraphFacts(k33).certificate(2).verdict
 
     def test_c8_agrees_no_with_witness(self, c8):
-        bp = bipartition(c8)
-        cert = is_k_extendible_bipartite(c8, bp, 2)
+        assert hall_surplus_check(c8, bipartition(c8), 2) is not None
+        cert = GraphFacts(c8).certificate(2)
         assert not cert.verdict and cert.reason == BLOCKED_MATCHING
         assert extends_to_perfect(c8, cert.witness) is None
-        assert not is_k_extendible(c8, 2).verdict
-
-    def test_hypothesis_failures_mirror_reason_codes(self):
-        small = complete_bipartite(1, 1)
-        assert is_k_extendible_bipartite(
-            small, bipartition(small), 1).reason == SIZE_TOO_SMALL
-        split = from_edges(4, [(0, 2), (1, 3)])
-        bp = bipartition(split)
-        assert is_k_extendible_bipartite(split, bp, 1).reason == DISCONNECTED
-        nopm = from_edges(4, [(0, 1), (1, 2), (1, 3)])  # star is unbalanced
-        with pytest.raises(ValueError):
-            is_k_extendible_bipartite(nopm, bipartition(nopm), 1)
 
     def test_no_perfect_matching_reason(self):
         # balanced and connected, but one side vertex starves the other
@@ -402,8 +395,8 @@ class TestBipartiteChecker:
         bp = bipartition(g)
         assert len(bp.x) == len(bp.y)
         assert not has_perfect_matching(g)
-        assert is_k_extendible_bipartite(g, bp, 1).reason == \
-            NO_PERFECT_MATCHING
+        assert hall_surplus_check(g, bp, 1) is not None
+        assert GraphFacts(g).certificate(1).reason == NO_PERFECT_MATCHING
 
     def test_exhaustive_agreement_n6(self):
         # the characterization as a differential test at desk scale
@@ -418,16 +411,14 @@ class TestBipartiteChecker:
             for k in (1, 2):
                 if g.n < 2 * k + 2:
                     continue
-                ours = is_k_extendible(g, k)
-                theirs = is_k_extendible_bipartite(g, bp, k)
-                assert ours.verdict == theirs.verdict
-                assert ours.reason == theirs.reason
-                if theirs.witness is not None:
-                    assert extends_to_perfect(g, theirs.witness) is None
+                cert = GraphFacts(g).certificate(k)
+                assert cert.verdict == (hall_surplus_check(g, bp, k) is None)
+                if cert.witness is not None:
+                    assert extends_to_perfect(g, cert.witness) is None
 
     def test_no_verdict_equals_definitional_certificate(self):
-        # a surplus violator does not pick the witness: every no-verdict
-        # carries the definitional reason and least blocked matching
+        # every no-verdict of the surplus scan is the engine's, with the
+        # definitional reason and a blocked matching as its witness
         rng = SplitMix64(32)
         sample = [seeded_random_bipartite(3 + trial % 4, rng,
                                           (0.3, 0.5, 0.7)[trial % 3])
@@ -437,13 +428,17 @@ class TestBipartiteChecker:
             bp = bipartition(g)
             if not isinstance(bp, Bipartition) or len(bp.x) != len(bp.y):
                 continue
-            for k in range(1, (g.n - 2) // 2 + 1):
-                theirs = is_k_extendible_bipartite(g, bp, k)
-                if theirs.verdict:
+            facts = GraphFacts(g)
+            if not facts.connected or not facts.perfect:
+                continue
+            for k in range(1, facts.size_bound + 1):
+                cert = facts.certificate(k)
+                assert cert.verdict == (
+                    hall_surplus_check(g, bp, k) is None), (g, k)
+                if cert.verdict:
                     continue
-                ours = is_k_extendible(g, k)
-                assert (theirs.verdict, theirs.reason, theirs.witness) == \
-                    (ours.verdict, ours.reason, ours.witness), (g, k)
+                assert cert.reason == BLOCKED_MATCHING
+                assert extends_to_perfect(g, cert.witness) is None
                 no_verdicts += 1
         assert no_verdicts > 1000
 
