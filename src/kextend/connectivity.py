@@ -21,18 +21,18 @@ minimum degree); it is computed only where that witness is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, VertexSet, bits, components
+from .graphs import Graph, VertexSet, _Record, bits, components
 
 
-@dataclass(frozen=True)
-class CutWitness:
+class CutWitness(_Record):
     """Removing ``cut`` disconnects the two ``separated`` vertices."""
 
-    cut: VertexSet
-    separated: tuple[int, int]
+    _fields = ("cut", "separated")
+
+    def __init__(self, cut: VertexSet, separated: tuple[int, int]):
+        self.__dict__.update(cut=cut, separated=separated)
 
 
 def vertex_connectivity(g: Graph) -> tuple[int, Optional[CutWitness]]:

@@ -39,7 +39,6 @@ differentially tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
@@ -50,6 +49,7 @@ from .graphs import (
     Graph,
     OddCycle,
     VertexSet,
+    _Record,
     _component,
     bipartition,
     check_bipartition,
@@ -94,8 +94,7 @@ class _once:
         return value
 
 
-@dataclass(frozen=True)
-class ExtendibilityCertificate:
+class ExtendibilityCertificate(_Record):
     """Re-checkable verdict for one extendibility level.
 
     No-verdicts name the first failed condition; a BlockedMatching failure
@@ -103,12 +102,14 @@ class ExtendibilityCertificate:
     extension.  Yes-verdicts carry a bounded sample of tested matchings,
     ``exhibited``, each extended in ``exhibit`` on first read."""
 
-    verdict: bool
-    k: int
-    reason: Optional[str] = None
-    witness: Optional[Matching] = None
-    exhibited: tuple[tuple[Edge, ...], ...] = ()
-    graph: Optional[Graph] = field(default=None, compare=False, repr=False)
+    _fields = ("verdict", "k", "reason", "witness", "exhibited")
+
+    def __init__(self, verdict: bool, k: int, reason: Optional[str] = None,
+                 witness: Optional[Matching] = None,
+                 exhibited: tuple[tuple[Edge, ...], ...] = (),
+                 graph: Optional[Graph] = None):
+        self.__dict__.update(verdict=verdict, k=k, reason=reason,
+                             witness=witness, exhibited=exhibited, graph=graph)
 
     @_once
     def exhibit(self) -> tuple[tuple[Matching, Matching], ...]:
@@ -117,12 +118,13 @@ class ExtendibilityCertificate:
         return tuple((m, extends_to_perfect(self.graph, m)) for m in ms)
 
 
-@dataclass(frozen=True)
-class HallViolator:
+class HallViolator(_Record):
     """Subset of X with too small a neighborhood for level k."""
 
-    a: VertexSet
-    neighborhood_size: int
+    _fields = ("a", "neighborhood_size")
+
+    def __init__(self, a: VertexSet, neighborhood_size: int):
+        self.__dict__.update(a=a, neighborhood_size=neighborhood_size)
 
 
 class GraphFacts:

@@ -22,7 +22,6 @@ Two text formats are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -44,12 +43,40 @@ class GraphParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Immutable record: equality (within one class), hash and repr by the
+    fields named in ``_fields``, which ``__init__`` stores in ``__dict__``."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
     """Simple undirected graph: ``adj[v]`` is the neighbor bitmask of v."""
 
-    n: int
-    adj: tuple[int, ...]
+    _fields = ("n", "adj")
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        self.__dict__.update(n=n, adj=adj)
+        self.__post_init__()
 
     def __post_init__(self):
         adj, n = self.adj, self.n
@@ -360,20 +387,23 @@ def is_connected(g: Graph) -> bool:
 # bipartition
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(_Record):
     """Ordered sides (X, Y): disjoint, covering, both independent."""
 
-    x: VertexSet
-    y: VertexSet
+    _fields = ("x", "y")
+
+    def __init__(self, x: VertexSet, y: VertexSet):
+        self.__dict__.update(x=x, y=y)
 
 
-@dataclass(frozen=True)
-class OddCycle:
+class OddCycle(_Record):
     """Closed odd walk witnessing non-bipartiteness; ``vertices`` lists the
     cycle once, consecutive entries adjacent, last adjacent to first."""
 
-    vertices: tuple[int, ...]
+    _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple[int, ...]):
+        self.__dict__.update(vertices=vertices)
 
 
 def check_bipartition(g: Graph, bp: Bipartition) -> None:

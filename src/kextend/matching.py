@@ -27,7 +27,6 @@ match and run the blossom search, without repeating the tests.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .graphs import (
@@ -35,17 +34,21 @@ from .graphs import (
     Edge,
     Graph,
     VertexSet,
+    _Record,
     bits,
     check_bipartition,
     vertex_mask,
 )
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Record):
     """Pairwise vertex-disjoint edges in canonical sorted order."""
 
-    edges: tuple[Edge, ...]
+    _fields = ("edges",)
+
+    def __init__(self, edges: tuple[Edge, ...]):
+        self.__dict__.update(edges=edges)
+        self.__post_init__()
 
     def __post_init__(self):
         used = 0
@@ -79,18 +82,21 @@ class Matching:
         return mask
 
 
-@dataclass(frozen=True)
-class AlternatingPath:
+class AlternatingPath(_Record):
     """Augmenting path: endpoints exposed, edges alternating unmatched and
     matched, odd number of edges."""
 
-    vertices: tuple[int, ...]
+    _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple[int, ...]):
+        self.__dict__.update(vertices=vertices)
 
 
-@dataclass(frozen=True)
-class DeficiencyWitness:
-    value: int
-    witness: VertexSet
+class DeficiencyWitness(_Record):
+    _fields = ("value", "witness")
+
+    def __init__(self, value: int, witness: VertexSet):
+        self.__dict__.update(value=value, witness=witness)
 
 
 def validate_matching(g: Graph, m: Matching) -> None:

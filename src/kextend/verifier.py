@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
@@ -47,6 +46,7 @@ from .graphs import (
     Bipartition,
     Graph,
     GraphParseError,
+    _Record,
     from_edges,
     parse_edge_list,
     parse_graph6,
@@ -89,27 +89,31 @@ _CHUNK = 64
 _POOL_AFTER_S = 0.25
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    mode: str  # exhaustive | random | external
-    n: int = 0
-    count: int = 0
-    seed: int = 0
-    edge_probability: float = 0.5
-    source: Optional[str] = None
-    strict: bool = True
+class CorpusSpec(_Record):
+    _fields = ("mode", "n", "count", "seed", "edge_probability", "source",
+               "strict")
+
+    def __init__(self, mode: str,  # exhaustive | random | external
+                 n: int = 0, count: int = 0, seed: int = 0,
+                 edge_probability: float = 0.5, source: Optional[str] = None,
+                 strict: bool = True):
+        self.__dict__.update(mode=mode, n=n, count=count, seed=seed,
+                             edge_probability=edge_probability,
+                             source=source, strict=strict)
 
 
-@dataclass(frozen=True)
-class Report:
-    corpus: dict[str, Any]
-    kmax: int
-    graphs_processed: int
-    properties: dict[str, dict[str, int]]
-    violations: tuple[dict[str, Any], ...]
-    notes: tuple[str, ...]
-    version: str
-    wall_time_ms: float
+class Report(_Record):
+    _fields = ("corpus", "kmax", "graphs_processed", "properties",
+               "violations", "notes", "version", "wall_time_ms")
+
+    def __init__(self, corpus: dict[str, Any], kmax: int,
+                 graphs_processed: int, properties: dict[str, dict[str, int]],
+                 violations: tuple[dict[str, Any], ...],
+                 notes: tuple[str, ...], version: str, wall_time_ms: float):
+        self.__dict__.update(
+            corpus=corpus, kmax=kmax, graphs_processed=graphs_processed,
+            properties=properties, violations=violations, notes=notes,
+            version=version, wall_time_ms=wall_time_ms)
 
 
 def validate_corpus_spec(spec: CorpusSpec) -> None:

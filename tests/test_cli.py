@@ -413,6 +413,18 @@ class TestImportCost:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout == "[]\n"
 
+    def test_cli_import_loads_no_dataclass_machinery(self, tmp_path):
+        """The records are plain classes, so importing the CLI loads
+        neither dataclasses nor the inspect module that it pulls in."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, kextend.cli; print(sorted(m for m in sys.modules "
+             "if m in ('dataclasses', 'inspect')))"],
+            capture_output=True, text=True, env=subprocess_env(),
+            cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "[]\n"
+
 
 class TestSmallGraphsScript:
     def test_malformed_worker_count_exits_2_with_one_line(self, tmp_path):
