@@ -9,6 +9,12 @@ the canonical witness: the minimum separator closest to the source.  That
 also frees each flow to start from any set of disjoint paths: it starts
 from the two-edge paths through common neighbours and greedy three-edge
 paths, read off the masks ``adj[s]`` and ``adj[t]``, before any search.
+Two rules settle a pair from those masks without a search.  Each common
+neighbour is a path of its own, so as many of them as the limit end the
+flow before it starts.  Once the flow equals deg s, every neighbour of s
+starts a path, so the residual search would reach exactly their in-sides:
+the canonical cut is N(s).  Otherwise the cut is read off the last
+search's masks of reached in-sides and out-sides.
 
 Whether the connectivity is at least k is a threshold test after S. Even
 (SIAM J. Comput. 1975): flows stop at k paths, warm ones included, and
@@ -57,9 +63,7 @@ def vertex_connectivity(g: Graph) -> tuple[int, Optional[CutWitness]]:
     # they compete on lexicographic order
     limit = min(m.bit_count() for m in g.adj) + 1
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj[u] >> v & 1:
-                continue
+        for v in bits(~g.adj[u] & (1 << g.n) - (2 << u)):  # non-neighbours
             cut = _pair_cut(g, u, v, limit=limit)
             if cut is None:
                 continue
@@ -83,9 +87,8 @@ def is_k_connected(g: Graph, k: int) -> bool:
         raise ValueError("connectivity level must be nonnegative")
     if g.n < k + 1:
         return False
-    return all(_pair_cut(g, s, t, limit=k) is None
-               for s in range(k) for t in range(s + 1, g.n)
-               if not g.adj[s] >> t & 1)
+    return all(_pair_cut(g, s, t, limit=k) is None for s in range(k)
+               for t in bits(~g.adj[s] & (1 << g.n) - (2 << s)))
 
 
 def _pair_cut(g: Graph, s: int, t: int,
@@ -96,15 +99,19 @@ def _pair_cut(g: Graph, s: int, t: int,
     once the flow value reaches ``limit``, warm paths included, possibly
     before any search: such a cut cannot improve on the current best, nor
     fall below a threshold."""
+    adj = g.adj
+    if (adj[s] & adj[t]).bit_count() >= limit:
+        return None
+    degree = adj[s].bit_count()
     pred = [-1] * g.n
     source, sink = 2 * s + 1, 2 * t
     # warm start: s-a-t through each common neighbour a; s-a-b-t pairing
     # each other neighbour a with the least unused b of t's own neighbours
-    ends = g.adj[t] & ~g.adj[s]
+    ends = adj[t] & ~adj[s]
     flow = 0
-    for a in bits(g.adj[s]):
-        if not g.adj[t] >> a & 1:
-            b = g.adj[a] & ends
+    for a in bits(adj[s]):
+        if not adj[t] >> a & 1:
+            b = adj[a] & ends
             if not b:
                 continue
             b &= -b
@@ -115,9 +122,10 @@ def _pair_cut(g: Graph, s: int, t: int,
     while True:
         if flow >= limit:
             return None
+        if flow == degree:
+            return tuple(bits(adj[s]))
         parent = [-1] * (2 * g.n)
-        parent[source] = source
-        seen_in = 0
+        seen_in, seen_out = 0, 1 << s
         queue = [source]
         for a in queue:
             v = a >> 1
@@ -126,7 +134,7 @@ def _pair_cut(g: Graph, s: int, t: int,
                     seen_in |= 1 << v
                     parent[a - 1] = a
                     queue.append(a - 1)
-                fresh = g.adj[v] & ~seen_in
+                fresh = adj[v] & ~seen_in
                 seen_in |= fresh
                 while fresh:
                     low = fresh & -fresh
@@ -137,10 +145,11 @@ def _pair_cut(g: Graph, s: int, t: int,
                 if parent[sink] != -1:
                     break
             else:  # to own out-side if free, else back along pred
-                b = a + 1 if pred[v] == -1 else 2 * pred[v] + 1
-                if parent[b] == -1:
-                    parent[b] = a
-                    queue.append(b)
+                w = v if pred[v] == -1 else pred[v]
+                if not seen_out >> w & 1:
+                    seen_out |= 1 << w
+                    parent[2 * w + 1] = a
+                    queue.append(2 * w + 1)
         if parent[sink] == -1:
             break
         b = sink
@@ -153,8 +162,7 @@ def _pair_cut(g: Graph, s: int, t: int,
                     pred[a >> 1] = -1
             b = a
         flow += 1
-    cut = tuple(v for v in range(g.n) if v not in (s, t)
-                and parent[2 * v] != -1 and parent[2 * v + 1] == -1)
+    cut = tuple(bits(seen_in & ~seen_out))
     if len(cut) != flow:
         raise RuntimeError(f"cut size {len(cut)} differs from flow {flow}")
     return cut

@@ -18,7 +18,9 @@ line, or standard input for "-").  read_graphs is the one reader of graph
 input, for the external mode here and for the analyze and convert
 subcommands.  corpus_range builds any index range of an exhaustive or
 random corpus without the graphs before it: exhaustive graph i is edge
-code i, and random graph i starts the stream i * n(n-1)/2 draws in.
+code i, and random graph i starts the stream i * n(n-1)/2 draws in.  Both
+modes build a graph from its edge code with one builder, _code_graph; a
+random graph's code comes from SplitMix64.next_code, all draws at once.
 
 run_corpus evaluates graphs in process until the corpus's projected
 serial work exceeds _POOL_AFTER_S, then hands the rest to a worker pool
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import sys
 import time
+from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
@@ -47,7 +50,6 @@ from .graphs import (
     Graph,
     GraphParseError,
     _Record,
-    from_edges,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -82,10 +84,10 @@ _CHUNK = 64
 # the rest to a worker pool.  On 2 vCPUs (Python 3.11) two workers broke
 # even with one at about 0.11 s of serial work (300 G(10, 1/2) graphs, all
 # properties).  A projection rests on at least a tenth of this much CPU
-# time: over 60 cold 48-graph MONO-EXT G(14, 1/2) corpora (0.04-0.09 s in
-# all) it read at most 0.12 s, and over 12 corpora of 2,000 G(10, 1/2)
-# graphs (all properties) at least 0.45 s, where a projection from the
-# first graph alone spanned 0.02-0.21 s and 0.36-0.96 s
+# time: over 60 cold 48-graph MONO-EXT G(14, 1/2) corpora it read at most
+# 0.13 s, and over 12 cold corpora of 2,000 G(10, 1/2) graphs (all
+# properties) 0.34-0.57 s, where one draw at a time and a search for every
+# pair cut read 0.50-0.65 s, run side by side on a noisy host
 _POOL_AFTER_S = 0.25
 
 
@@ -141,10 +143,28 @@ def validate_corpus_spec(spec: CorpusSpec) -> None:
 
 def random_graph(n: int, rng: SplitMix64, p: float = 0.5) -> Graph:
     """One G(n, p) draw, consuming one rng value per vertex pair in sorted
+    order: the edge code whose bit j is set when draw j is below p."""
+    return _code_graph(n, rng.next_code(n * (n - 1) // 2, p))
+
+
+def _code_graph(n: int, code: int) -> Graph:
+    """The graph of an edge code: bit j is the j-th vertex pair in sorted
     order."""
-    edges = [(u, v) for u, v in combinations(range(n), 2)
-             if rng.next_float() < p]
-    return from_edges(n, edges)
+    pairs = _pairs(n)
+    adj = [0] * n
+    while code:
+        low = code & -code
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        code ^= low
+    return Graph(n, tuple(adj))
+
+
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs in sorted order; a corpus has one n."""
+    return tuple(combinations(range(n), 2))
 
 
 def generate_corpus(spec: CorpusSpec) -> Iterator[Graph]:
@@ -158,20 +178,12 @@ def corpus_range(spec: CorpusSpec, start: int, stop: int) -> Iterator[Graph]:
     """Graphs start..stop-1 of an exhaustive or random corpus, built without
     the graphs before them: exhaustive graph i is edge code i, and random
     graph i starts i * n(n-1)/2 draws into the seed's SplitMix64 stream.
-    Bit j of an edge code is the j-th vertex pair in sorted order."""
-    pairs = list(combinations(range(spec.n), 2))
+    Both modes build each graph from its edge code."""
     if spec.mode == "exhaustive":
         for code in range(start, stop):
-            adj = [0] * spec.n
-            while code:
-                low = code & -code
-                u, v = pairs[low.bit_length() - 1]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                code ^= low
-            yield Graph(spec.n, tuple(adj))
+            yield _code_graph(spec.n, code)
         return
-    rng = SplitMix64(spec.seed + start * len(pairs) * GAMMA)
+    rng = SplitMix64(spec.seed + start * spec.n * (spec.n - 1) // 2 * GAMMA)
     for _ in range(start, stop):
         yield random_graph(spec.n, rng, spec.edge_probability)
 

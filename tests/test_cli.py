@@ -470,6 +470,28 @@ class TestGen:
         assert code1 == code2 == 0 and out1 == out2
         assert len(out1.strip().splitlines()) == 10
 
+    @pytest.mark.parametrize("argv, lines, digest", [
+        (["8", "10", "42"], 10,
+         "c393815c7597c3b65dc886e1df857f8b0db9265df48c4085252371816134febe"),
+        (["14", "48", "5"], 48,
+         "40f4124693b6b3abc519556872e5ce71a171007f4c23885b7e329ec8e5f8eb3c"),
+        (["46", "3", "9", "--p", "0.123"], 3,
+         "de3e2a354f4605d8297be76dad25a9f0b4a1f2e4a09b66e1cfc677000115f34b"),
+        (["12", "200", "5", "--p", "1e-300"], 200,
+         "faa7cf32dae0f2f4668b8b01f576e7d5ed028bf6661199bf05920d7552f2bc55"),
+        (["62", "2", "2718", "--p", "0.999"], 2,
+         "581da1547dfbfdeed419f4abe957a1d41c61fc73626cd3f9ccf9b0944d7bfe3d"),
+    ], ids=["n8", "n14", "n46-sparse", "tiny-p", "n62-dense"])
+    def test_random_corpus_bytes_are_pinned(self, capsys, monkeypatch, argv,
+                                            lines, digest):
+        """The graph6 lines of seeded random corpora, pinned by sha256 so
+        that a faster draw must build the same graphs; 46 vertices make
+        1,035 pairs, more than one block of lane-packed draws."""
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["gen", "--random", *argv])
+        assert code == 0 and out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_exhaustive_bound_refused(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, monkeypatch, ["gen", "--exhaustive", "8"])
         assert code == 2 and err

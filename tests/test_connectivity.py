@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+import kextend.connectivity as connectivity
 from conftest import exhaustive_graphs, graphs, seeded_random_graph
 from kextend import (
     CutWitness,
@@ -190,7 +191,7 @@ class TestCanonicalWitness:
         for g, u, v in _pairs():
             kappa, closest = _closest_min_separator(g, u, v)
             assert _pair_cut(g, u, v, limit=g.n) == closest
-            for limit in range(1, 5):
+            for limit in range(g.n + 1):
                 got = _pair_cut(g, u, v, limit=limit)
                 assert got == (None if kappa >= limit else closest)
 
@@ -205,6 +206,54 @@ class TestCanonicalWitness:
             pair = next(p for c, p in cuts if c == cut)
             assert (kappa, witness.cut, witness.separated) == \
                 (len(cut), cut, pair)
+
+
+class TestMaskRules:
+    """Each rule that settles a pair from neighbour masks, against the
+    closest minimum separator."""
+
+    def test_common_neighbours_at_limit_settle_before_any_path(
+            self, monkeypatch):
+        """s and t share 2 and 3 neighbours: no flow is built at the limit
+        that many disjoint two-edge paths reach."""
+        g = from_edges(6, [(0, 1), (0, 2), (1, 5), (2, 5), (0, 3), (3, 4),
+                           (4, 5)])
+        assert _closest_min_separator(g, 0, 5) == (3, (1, 2, 3))
+
+        def refuse(mask):
+            raise AssertionError("a flow was built")
+
+        monkeypatch.setattr(connectivity, "bits", refuse)
+        assert _pair_cut(g, 0, 5, limit=2) is None
+        k4_minus_edge = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4),
+                                       (2, 4), (3, 4)])
+        assert _pair_cut(k4_minus_edge, 0, 4, limit=3) is None
+
+    def test_source_saturated_after_one_augmentation(self):
+        """The warm start finds 0-1-3-5 only; one search adds 0-2-3~1-4-5,
+        and then both of 0's neighbours start paths: the cut is N(0), not
+        N(5) = (3, 4), unless the flow has reached the limit."""
+        g = from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5),
+                           (4, 5)])
+        assert _closest_min_separator(g, 0, 5) == (2, (1, 2))
+        assert _pair_cut(g, 0, 5, limit=3) == (1, 2)
+        assert _pair_cut(g, 0, 5, limit=2) is None
+
+    def test_flow_equal_to_degree_and_limit_gives_none(self, c6):
+        """The warm paths 0-1-2-3 and 0-5-4-3 saturate 0 at the limit."""
+        assert _pair_cut(c6, 0, 3, limit=2) is None
+        assert _pair_cut(c6, 0, 3, limit=3) == (1, 5)
+
+    def test_sink_saturated_source_not_still_searches(self):
+        """N(5) = (3, 4) is a minimum cut once two paths run, but (1, 2)
+        is the one closer to 0, whose own three neighbours stay free."""
+        g = from_edges(8, [(0, 6), (0, 7), (0, 1)]
+                       + [(a, x) for a in (6, 7) for x in (1, 2)]
+                       + [(1, 3), (2, 4), (3, 5), (4, 5)])
+        kappa, closest = _closest_min_separator(g, 0, 5)
+        assert (kappa, closest) == (2, (1, 2))
+        assert _pair_cut(g, 0, 5, limit=g.n) == closest
+        assert _pair_cut(g, 5, 0, limit=g.n) == (3, 4)
 
 
 def _witness_graphs():

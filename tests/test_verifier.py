@@ -505,6 +505,24 @@ class TestCorpusRange:
                     whole[start:stop]
 
 
+class TestTracedLayers:
+    def test_random_corpus_draws_through_random_graph(self, monkeypatch):
+        """verifier.random_graph is a layer that the benchmark traces by
+        name: a random corpus must build every graph through it."""
+        calls = []
+        draw = verifier.random_graph
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "random_graph", counted)
+        report = run_corpus(CorpusSpec(mode="random", n=10, count=20, seed=1),
+                            PROPERTY_IDS, workers=1)
+        assert report.graphs_processed == 20
+        assert calls == [10] * 20
+
+
 class TestWorkerPool:
     def test_corpus_size(self):
         assert _corpus_size(CorpusSpec(mode="exhaustive", n=0)) == 1
