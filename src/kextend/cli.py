@@ -34,13 +34,15 @@ from typing import Any, Optional
 
 from . import __version__
 from .extendibility import GraphFacts
-from .graphs import Bipartition, Graph, min_degree, to_edge_list, to_graph6
-from .jsonio import (
-    bipartition_json,
-    certificate_json,
-    cut_witness_json,
-    odd_cycle_json,
+from .graphs import (
+    GRAPH6_MAX_N,
+    Bipartition,
+    Graph,
+    min_degree,
+    to_edge_list,
+    to_graph6,
 )
+from .jsonio import certificate_json, record_json
 from .verifier import (
     _MAX_WORKERS,
     PROPERTY_IDS,
@@ -59,7 +61,7 @@ def analysis_record(g: Graph, kmax: int) -> dict[str, Any]:
     call on the same graph."""
     facts = GraphFacts(g)
     record: dict[str, Any] = {
-        "graph6": to_graph6(g) if g.n <= 62 else None,
+        "graph6": to_graph6(g) if g.n <= GRAPH6_MAX_N else None,
         "n": g.n,
         "edge_count": g.edge_count,
         "connected": facts.connected,
@@ -67,14 +69,14 @@ def analysis_record(g: Graph, kmax: int) -> dict[str, Any]:
     bp = facts.bipartition
     bipartite = isinstance(bp, Bipartition)
     record["bipartite"] = bipartite
-    record["bipartition"] = bipartition_json(bp) if bipartite else None
-    record["odd_cycle"] = None if bipartite else odd_cycle_json(bp)
+    record["bipartition"] = record_json(bp) if bipartite else None
+    record["odd_cycle"] = None if bipartite else record_json(bp)
     record["min_degree"] = min_degree(g) if g.n else None
     record["matching_number"] = facts.matching_number
     record["has_perfect_matching"] = facts.perfect
     kappa, witness = facts.connectivity if g.n else (None, None)
     record["vertex_connectivity"] = kappa
-    record["cut_witness"] = cut_witness_json(witness)
+    record["cut_witness"] = record_json(witness)
     record["extendibility_number"] = facts.extendibility_number
     record["certificates"] = [certificate_json(facts.certificate(k))
                               for k in range(kmax + 1)]

@@ -49,8 +49,6 @@ def vertex_connectivity(g: Graph) -> tuple[int, Optional[CutWitness]]:
     above the least cut so far."""
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
-    if g.n == 1:
-        return 0, None
     comps = components(g)
     if len(comps) > 1:
         return 0, CutWitness((), (comps[0][0], comps[1][0]))

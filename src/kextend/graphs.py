@@ -76,10 +76,6 @@ class Graph(_Record):
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         self.__dict__.update(n=n, adj=adj)
-        self.__post_init__()
-
-    def __post_init__(self):
-        adj, n = self.adj, self.n
         if n < 0 or len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
         full = (1 << n) - 1
@@ -190,7 +186,11 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
-# graph6 encoding
+# graph6 encoding: bit j of the integer ``code`` is the j-th pair in
+# column order, so column v starts at bit v(v-1)/2.  A line packs each
+# 6-bit group most significant bit first, hence the reversal table.
+
+_REVERSED6 = [int(f"{group:06b}"[::-1], 2) for group in range(64)]
 
 
 def parse_graph6(text: str) -> Graph:
@@ -220,24 +220,23 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > nbytes:
         raise GraphParseError("trailing garbage after graph6 body",
                               offset=1 + nbytes)
-    bitstream = []
+    code = 0
     for i, byte in enumerate(body):
         if not 63 <= byte <= 126:
             raise GraphParseError(f"body byte {byte} outside 63..126",
                                   offset=1 + i)
-        group = byte - 63
-        bitstream.extend((group >> shift) & 1 for shift in range(5, -1, -1))
-    for j in range(nbits, len(bitstream)):
-        if bitstream[j]:
-            raise GraphParseError("nonzero padding bits", offset=1 + j // 6)
+        code |= _REVERSED6[byte - 63] << 6 * i
+    if code >> nbits:  # padding fills only the last byte
+        raise GraphParseError("nonzero padding bits", offset=nbytes)
     adj = [0] * n
-    idx = 0
     for v in range(1, n):
-        for u in range(v):
-            if bitstream[idx]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            idx += 1
+        column = code >> v * (v - 1) // 2 & (1 << v) - 1
+        adj[v] = column
+        bit = 1 << v
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= bit
+            column ^= low
     return Graph(n, tuple(adj))
 
 
@@ -246,19 +245,12 @@ def to_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 short form supports n <= {GRAPH6_MAX_N}, "
                          f"got n={g.n}")
-    out = [chr(g.n + 63)]
-    group = 0
-    filled = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            group = group << 1 | (g.adj[u] >> v & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group, filled = 0, 0
-    if filled:
-        out.append(chr((group << (6 - filled)) + 63))
-    return "".join(out)
+    code = 0
+    for v, mask in enumerate(g.adj):
+        code |= (mask & (1 << v) - 1) << v * (v - 1) // 2
+    nbytes = (g.n * (g.n - 1) // 2 + 5) // 6
+    return chr(g.n + 63) + "".join([chr(_REVERSED6[code >> 6 * i & 63] + 63)
+                                    for i in range(nbytes)])
 
 
 # edge-list text

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from .connectivity import CutWitness
-from .extendibility import ExtendibilityCertificate, HallViolator
-from .graphs import Bipartition, OddCycle
-from .matching import DeficiencyWitness, Matching
+from .extendibility import ExtendibilityCertificate
+from .graphs import _Record
+from .matching import Matching
 
 
 def matching_json(m: Matching) -> list[list[int]]:
@@ -32,23 +31,10 @@ def certificate_json(cert: ExtendibilityCertificate) -> dict[str, Any]:
     }
 
 
-def hall_violator_json(v: HallViolator) -> dict[str, Any]:
-    return {"a": list(v.a), "neighborhood_size": v.neighborhood_size}
-
-
-def cut_witness_json(w: Optional[CutWitness]) -> Optional[dict[str, Any]]:
-    if w is None:
+def record_json(r: Optional[_Record]) -> Optional[dict[str, Any]]:
+    """A witness record's fields in order, each tuple as a list; None for
+    None."""
+    if r is None:
         return None
-    return {"cut": list(w.cut), "separated": list(w.separated)}
-
-
-def deficiency_json(w: DeficiencyWitness) -> dict[str, Any]:
-    return {"value": w.value, "witness": list(w.witness)}
-
-
-def bipartition_json(bp: Bipartition) -> dict[str, Any]:
-    return {"x": list(bp.x), "y": list(bp.y)}
-
-
-def odd_cycle_json(c: OddCycle) -> dict[str, Any]:
-    return {"vertices": list(c.vertices)}
+    return {f: list(v) if isinstance(v, tuple) else v
+            for f, v in zip(r._fields, r._key())}

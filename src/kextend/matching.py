@@ -48,18 +48,15 @@ class Matching(_Record):
 
     def __init__(self, edges: tuple[Edge, ...]):
         self.__dict__.update(edges=edges)
-        self.__post_init__()
-
-    def __post_init__(self):
         used = 0
-        for u, v in self.edges:
+        for u, v in edges:
             if not 0 <= u < v:
                 raise ValueError(f"edge ({u}, {v}) not in canonical u < v form")
             pair = 1 << u | 1 << v
             if used & pair:
                 raise ValueError(f"edge ({u}, {v}) shares a vertex")
             used |= pair
-        if tuple(sorted(self.edges)) != self.edges:
+        if tuple(sorted(edges)) != edges:
             raise ValueError("edges must be sorted")
 
     @staticmethod

@@ -46,6 +46,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Union
 from . import __version__
 from .extendibility import GraphFacts, hall_surplus_check
 from .graphs import (
+    GRAPH6_MAX_N,
     Bipartition,
     Graph,
     GraphParseError,
@@ -54,13 +55,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .jsonio import (
-    certificate_json,
-    cut_witness_json,
-    deficiency_json,
-    hall_violator_json,
-    matching_json,
-)
+from .jsonio import certificate_json, matching_json, record_json
 from .matching import koenig_ore_deficiency
 from .oracles import brute_force_deficiency
 from .rng import GAMMA, SEED_MAX, SplitMix64
@@ -269,7 +264,7 @@ def _one_ext_two_conn(facts: GraphFacts, kmax: int) -> Outcome:
     kappa, witness = facts.connectivity
     return VIOLATED, {
         "connectivity": kappa,
-        "cut_witness": cut_witness_json(witness),
+        "cut_witness": record_json(witness),
     }
 
 
@@ -307,7 +302,7 @@ def _connectivity_bound(facts: GraphFacts, kmax: int) -> Outcome:
             return VIOLATED, {
                 "k": k,
                 "connectivity": kappa,
-                "cut_witness": cut_witness_json(witness),
+                "cut_witness": record_json(witness),
             }
     return HOLDS, None
 
@@ -334,8 +329,7 @@ def _bipartite_characterization(facts: GraphFacts, kmax: int) -> Outcome:
             return VIOLATED, {
                 "k": k,
                 "definitional": certificate_json(cert),
-                "hall_violator": hall_violator_json(violator)
-                if violator else None,
+                "hall_violator": record_json(violator),
             }
     if top < 1:
         return INAPPLICABLE, {"reason": f"fewer than 2k+2 vertices for every "
@@ -360,7 +354,7 @@ def _koenig_ore(facts: GraphFacts, kmax: int) -> Outcome:
             "matching_number": alpha,
             "x_size": len(bp.x),
             "oracle_max_deficiency": oracle_value,
-            "witness": deficiency_json(witness),
+            "witness": record_json(witness),
             "witness_attains": attained,
         }
     return HOLDS, None
@@ -538,7 +532,7 @@ def _fold(graphs: Iterable[Graph], first: int, properties: tuple[str, ...],
                 violations.append({
                     "property": pid,
                     "graph_index": first + processed,
-                    "graph6": to_graph6(g) if g.n <= 62 else None,
+                    "graph6": to_graph6(g) if g.n <= GRAPH6_MAX_N else None,
                     "payload": detail,
                 })
         processed += 1

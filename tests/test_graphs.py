@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given
 
-from conftest import exhaustive_graphs, graphs
+from conftest import exhaustive_graphs, graphs, seeded_random_graph
 from kextend import (
     Bipartition,
     Graph,
@@ -27,6 +27,7 @@ from kextend import (
     to_graph6,
 )
 from kextend.graphs import bits, check_bipartition
+from kextend.rng import SplitMix64
 
 
 class TestGraphType:
@@ -107,9 +108,31 @@ class TestGraph6:
             parse_graph6("C")
 
     def test_rejects_nonzero_padding(self):
-        # K2 body with a stray low bit set: 100001 -> chr(63+33) = '`'
-        with pytest.raises(GraphParseError):
-            parse_graph6("A`")
+        # K2 body with a stray low bit set: 100001 -> chr(63+33) = '`';
+        # n = 5 has ten pairs, so two padding bits, the first set by 'A'.
+        # The offset is the last byte, where all padding bits sit.
+        for line, offset in (("A`", 1), ("D?A", 2)):
+            with pytest.raises(GraphParseError,
+                               match="nonzero padding bits") as exc:
+                parse_graph6(line)
+            assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("p", [0.5, 0.1])
+    def test_bit_order_matches_the_format_definition(self, p):
+        # reference written from the format: one bit per pair (u, v), u < v,
+        # in column order (v outer), packed into 6-bit groups most
+        # significant bit first, zero-padded to a whole group
+        rng = SplitMix64(0x6A09E667)
+        for n in range(63):
+            g = seeded_random_graph(n, rng, p)
+            pairs = [g.adj[u] >> v & 1 for v in range(n) for u in range(v)]
+            pairs += [0] * (-len(pairs) % 6)
+            body = "".join(
+                chr(63 + int("".join(map(str, pairs[i:i + 6])), 2))
+                for i in range(0, len(pairs), 6))
+            reference = chr(63 + n) + body
+            assert to_graph6(g) == reference
+            assert parse_graph6(reference) == g
 
     def test_rejects_size_above_62(self):
         with pytest.raises(ValueError):

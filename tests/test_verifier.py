@@ -11,8 +11,13 @@ import kextend.extendibility as extendibility
 import kextend.verifier as verifier
 from conftest import exhaustive_graphs, seeded_random_graph
 from kextend import (
+    Bipartition,
     CorpusSpec,
+    CutWitness,
+    DeficiencyWitness,
     GraphParseError,
+    HallViolator,
+    OddCycle,
     bipartition,
     complete_graph,
     cycle_graph,
@@ -30,7 +35,7 @@ from kextend import (
     vertex_connectivity,
 )
 from kextend.extendibility import ExtendibilityCertificate, GraphFacts
-from kextend.jsonio import certificate_json, cut_witness_json
+from kextend.jsonio import certificate_json, record_json
 from kextend.oracles import brute_force_is_k_extendible
 from kextend.rng import SplitMix64
 from kextend.verifier import (
@@ -228,8 +233,8 @@ class TestGraphFacts:
                 if n:
                     kappa, witness = vertex_connectivity(g)
                     assert facts.connectivity[0] == kappa
-                    assert (cut_witness_json(facts.connectivity[1])
-                            == cut_witness_json(witness))
+                    assert (record_json(facts.connectivity[1])
+                            == record_json(witness))
                 for k in range(n + 2):
                     assert facts.is_k_connected(k) == (n >= k + 1
                                                        and kappa >= k)
@@ -294,7 +299,7 @@ class TestThresholdConnectivity:
         for g in (c6, k33, cycle_graph(8)):
             kappa, witness = vertex_connectivity(g)
             payload = {"connectivity": kappa,
-                       "cut_witness": cut_witness_json(witness)}
+                       "cut_witness": record_json(witness)}
             assert check("P22", g, 2) == (VIOLATED, payload)
             assert check("T31", g, 2) == (VIOLATED, {"k": 1, **payload})
 
@@ -417,6 +422,25 @@ def eager(monkeypatch):
 
 def refuse(*args, **kwargs):
     raise AssertionError("a worker pool was started")
+
+
+class TestRecordJson:
+    # each record next to the dict its own serializer gave before
+    # record_json replaced the five of them, key order included
+    @pytest.mark.parametrize("record, expected", [
+        (None, None),
+        (HallViolator((0, 2), 1), {"a": [0, 2], "neighborhood_size": 1}),
+        (CutWitness((1, 3), (0, 2)), {"cut": [1, 3], "separated": [0, 2]}),
+        (CutWitness((), (0, 4)), {"cut": [], "separated": [0, 4]}),
+        (DeficiencyWitness(1, (0, 5)), {"value": 1, "witness": [0, 5]}),
+        (Bipartition((0, 2), (1,)), {"x": [0, 2], "y": [1]}),
+        (OddCycle((0, 1, 2)), {"vertices": [0, 1, 2]}),
+    ])
+    def test_fields_in_order_with_tuples_as_lists(self, record, expected):
+        out = record_json(record)
+        assert out == expected
+        if expected is not None:
+            assert list(out) == list(expected)
 
 
 class TestViolationPlumbing:
