@@ -35,6 +35,7 @@ from typing import Any, Optional
 from . import __version__
 from .extendibility import GraphFacts
 from .graphs import (
+    EDGE_LIST_MAX_N,
     GRAPH6_MAX_N,
     Bipartition,
     Graph,
@@ -54,6 +55,8 @@ from .verifier import (
 )
 
 USAGE_ERROR = 2
+# no readable graph has a level above (n - 2) / 2 for n <= EDGE_LIST_MAX_N
+ANALYZE_KMAX_MAX = (EDGE_LIST_MAX_N - 2) // 2
 
 
 def analysis_record(g: Graph, kmax: int) -> dict[str, Any]:
@@ -86,6 +89,8 @@ def analysis_record(g: Graph, kmax: int) -> dict[str, Any]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if args.kmax > ANALYZE_KMAX_MAX:
+        raise ValueError(f"kmax must lie in 0..{ANALYZE_KMAX_MAX}")
     for g in read_graphs(args.input, args.format):
         print(json.dumps(analysis_record(g, args.kmax)))
     return 0

@@ -28,7 +28,8 @@ exhibited extensions come from extends_to_perfect, computed when
 GraphFacts is the one entry to that engine: it answers the preconditions
 from the facts it holds and starts every level's stack, and that of each
 G - u - v in G's labels, from one maximum matching.  The one-shots each
-build one.
+build one.  extendible_levels settles connectivity and the perfect
+matching, which no level changes, before it asks any level.
 
 For balanced bipartite graphs the same verdict follows from a surplus
 condition on one side: |N(A)| >= |A| + k for every nonempty A within X of
@@ -51,6 +52,7 @@ from .graphs import (
     VertexSet,
     _Record,
     _component,
+    _two_colouring,
     bipartition,
     check_bipartition,
     delete_vertices,
@@ -134,6 +136,7 @@ class GraphFacts:
     threshold test is_k_connected and ``connectivity`` is
     vertex_connectivity, the full value and witness, read only where the
     witness is reported.  One maximum matching feeds every matching fact.
+    ``sides`` is _two_colouring's side masks: bipartiteness without a record.
     ``size_bound`` is (n-2)/2 rounded down, the highest level that the size
     condition n >= 2k + 2 admits."""
 
@@ -160,7 +163,12 @@ class GraphFacts:
 
     @_once
     def perfect(self) -> bool:
-        return 2 * self.matching_number == self.g.n
+        """Read off the maximum matching, which an odd n never needs."""
+        return self.g.n % 2 == 0 and 2 * self.matching_number == self.g.n
+
+    @_once
+    def sides(self) -> Optional[tuple[int, int]]:
+        return _two_colouring(self.g.adj)
 
     @_once
     def bipartition(self) -> Bipartition | OddCycle:
@@ -204,12 +212,15 @@ class GraphFacts:
     def extendible_levels(self, kmax: int) -> tuple[int, ...]:
         """The levels k in 1..kmax at which the graph is k-extendible,
         ascending, memoized per kmax.  Each level is decided outright, so
-        monotonicity is never assumed."""
+        monotonicity is never assumed; a graph that is disconnected or has
+        no perfect matching fails every level, so none is asked."""
         levels = self._levels.get(kmax)
         if levels is None:
+            top = min(kmax, self.size_bound)
+            if top < 1 or not (self.connected and self.perfect):
+                top = 0
             levels = self._levels[kmax] = tuple(
-                k for k in range(1, min(kmax, self.size_bound) + 1)
-                if self.certificate(k).verdict)
+                k for k in range(1, top + 1) if self.certificate(k).verdict)
         return levels
 
     def peeled_certificate(self, u: int, v: int, k: int

@@ -7,9 +7,11 @@ subgraphs) copy; deletions return a relabeling map so witnesses can be
 reported in the original graph's labels.
 
 The per-graph kernels work on those masks: is_connected is one search
-from the least vertex (_component), and bipartition colours with one mask
-per side, so neither builds a list only to count it.  Hot loops walk set
-bits inline (low = mask & -mask); bits() is the readable form elsewhere.
+from the least vertex (_component), and _two_colouring colours with one
+mask per side, so neither builds a list only to count it; only a graph
+with no sides runs _odd_cycle's search for an OddCycle witness.  Hot
+loops walk set bits inline (low = mask & -mask); bits() is the readable
+form elsewhere.
 
 Two text formats are supported:
 
@@ -120,6 +122,14 @@ class Graph(_Record):
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
+
+
+def _trusted_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph without Graph.__init__'s checks, for the corpus builders,
+    whose masks are symmetric, loop-free and in range by construction."""
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, adj=adj)
+    return g
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -416,65 +426,71 @@ def check_bipartition(g: Graph, bp: Bipartition) -> None:
             raise ValueError(f"edge inside Y at vertex {v}")
 
 
-def bipartition(g: Graph) -> Bipartition | OddCycle:
-    """Two-color the graph.  Per component, the side holding its minimum
-    vertex goes to X.  Returns an OddCycle witness when no 2-coloring
-    exists.
-
-    Each component is searched breadth first from its least vertex, each
-    level in the order it was reached.  A level's vertices share one side,
-    and only the other side grows while the level is scanned, so that side
-    mask is the whole clash test: the first vertex of the level with a
-    neighbour on its own side, with its least such neighbour, closes the
-    odd cycle."""
-    parent = [-1] * g.n
-    sides = [0, 0]  # X, Y
-    left = (1 << g.n) - 1  # not yet colored
+def _two_colouring(adj: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """The sides (X, Y) of the graph on masks ``adj`` as vertex masks, or
+    None when it has no 2-coloring; per component, the side holding its
+    least vertex goes to X.  Each component is coloured breadth first, a
+    level at a time, so a level's edges to its own side close odd cycles."""
+    sides = [0, 0]
+    left = (1 << len(adj)) - 1  # not yet colored
     while left:
-        low = left & -left
-        left ^= low
-        sides[0] |= low
-        side = 0
-        level = [low.bit_length() - 1]
+        level, side = left & -left, 0
         while level:
-            own = sides[side]
+            left ^= level
+            own = sides[side] = sides[side] | level
             reached = 0
-            nxt: list[int] = []
-            for v in level:
-                nbrs = g.adj[v]
-                clash = nbrs & own
-                if clash:
-                    w = (clash & -clash).bit_length() - 1
-                    return OddCycle(_odd_cycle(parent, v, w))
-                new = nbrs & left
-                left ^= new
-                reached |= new
-                while new:
-                    low = new & -new
-                    w = low.bit_length() - 1
-                    parent[w] = v
-                    nxt.append(w)
-                    new ^= low
+            while level:
+                low = level & -level
+                reached |= adj[low.bit_length() - 1]
+                level ^= low
+            if reached & own:
+                return None
+            level = reached & left
             side ^= 1
-            sides[side] |= reached
-            level = nxt
+    return sides[0], sides[1]
+
+
+def bipartition(g: Graph) -> Bipartition | OddCycle:
+    """Two-color the graph, or give an OddCycle witness."""
+    sides = _two_colouring(g.adj)
+    if sides is None:
+        return OddCycle(_odd_cycle(g))
     return Bipartition(tuple(bits(sides[0])), tuple(bits(sides[1])))
 
 
-def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
-    """Cycle through the conflicting edge (u, v) and the BFS-tree paths to
-    their lowest common ancestor."""
-    up, vp = [u], [v]
-    seen = {u: 0}
-    w = u
-    while parent[w] != -1:
-        w = parent[w]
-        seen[w] = len(up)
-        up.append(w)
-    w = v
-    while w not in seen:
-        w = parent[w]
-        vp.append(w)
-    lca = w
-    cycle = up[:seen[lca] + 1] + vp[-2::-1]
-    return tuple(cycle)
+def _odd_cycle(g: Graph) -> tuple[int, ...]:
+    """An odd cycle of a graph that has no 2-coloring.
+
+    Each component is searched breadth first from its least vertex, in the
+    order vertices are reached.  While a level is scanned only the other
+    side grows, so a vertex's side mask is the whole clash test: the first
+    vertex v with a neighbour on its own side, with its least such
+    neighbour w, closes the cycle through the edge vw and the search-tree
+    paths to their lowest common ancestor."""
+    parent, side = [-1] * g.n, [0] * g.n
+    sides, left = [0, 0], (1 << g.n) - 1  # X, Y; not yet colored
+    for root in range(g.n):
+        if not left >> root & 1:
+            continue
+        left ^= 1 << root
+        sides[0] |= 1 << root
+        queue = [root]
+        for v in queue:
+            clash = g.adj[v] & sides[side[v]]
+            if clash:
+                w = (clash & -clash).bit_length() - 1
+                up = [v]
+                while parent[up[-1]] != -1:
+                    up.append(parent[up[-1]])
+                seen = {x: i for i, x in enumerate(up)}
+                down = [w]
+                while down[-1] not in seen:
+                    down.append(parent[down[-1]])
+                return tuple(up[:seen[down[-1]] + 1] + down[-2::-1])
+            new = g.adj[v] & left
+            left ^= new
+            sides[side[v] ^ 1] |= new
+            for x in bits(new):
+                parent[x], side[x] = v, side[v] ^ 1
+                queue.append(x)
+    raise ValueError("the graph is bipartite")

@@ -17,7 +17,8 @@ augmenting path joins a and b.  The step tries the edge ab, a length-3
 path and a length-5 path, by mask tests, before it pays for a blossom
 search.  The path is simple, so its length is odd and below the number
 of vertices left: with at most 6 left, the mask tests are exact and no
-search runs.  The walk derives its prefixes' matchings with the step.
+search runs, and a length-5 path is sought only with 6 or more.  The
+walk derives its prefixes' matchings with the step.
 Its leaves only need a yes or no, which _extends_without_pair reads off
 the prefix's matching with the same mask tests and no copy; only for a
 mask of 8 or more vertices that those tests leave open does it copy the
@@ -262,8 +263,9 @@ def _perfect_without_pair(adj: tuple[int, ...], n: int, mask: int,
         if adj[b] >> y & 1:
             match[a], match[x], match[y], match[b] = x, a, b, y
             return match
-    path = _path_of_length_5(adj, mask, match, a, b)
-    if path is None and mask.bit_count() > 6:
+    left = mask.bit_count()
+    path = _path_of_length_5(adj, mask, match, a, b) if left >= 6 else None
+    if path is None and left > 6:
         path = _augmenting_path_from(adj, n, mask, match, a)
     if path is None:
         return None
@@ -321,9 +323,10 @@ def _extends_without_pair(adj: tuple[int, ...], n: int, mask: int,
         xs ^= x
         if adj[b] >> match[x.bit_length() - 1] & 1:
             return True
-    if _path_of_length_5(adj, mask, match, a, b) is not None:
+    left = mask.bit_count()
+    if left >= 6 and _path_of_length_5(adj, mask, match, a, b) is not None:
         return True
-    if mask.bit_count() <= 6:
+    if left <= 6:
         return False
     match = list(match)
     match[u] = match[v] = match[a] = match[b] = -1

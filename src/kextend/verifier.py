@@ -18,9 +18,10 @@ line, or standard input for "-").  read_graphs is the one reader of graph
 input, for the external mode here and for the analyze and convert
 subcommands.  corpus_range builds any index range of an exhaustive or
 random corpus without the graphs before it: exhaustive graph i is edge
-code i, and random graph i starts the stream i * n(n-1)/2 draws in.  Both
-modes build a graph from its edge code with one builder, _code_graph; a
-random graph's code comes from SplitMix64.next_code, all draws at once.
+code i, and random graph i starts the stream i * n(n-1)/2 draws in.  A
+random graph's code comes from SplitMix64.next_code, all draws at once;
+an exhaustive range flips from each graph to the next the pairs of the
+bits in which their codes differ.  Both skip Graph's checks.
 
 run_corpus evaluates graphs in process until the corpus's projected
 serial work exceeds _POOL_AFTER_S, then hands the rest to a worker pool
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import sys
 import time
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
@@ -47,10 +48,10 @@ from . import __version__
 from .extendibility import GraphFacts, hall_surplus_check
 from .graphs import (
     GRAPH6_MAX_N,
-    Bipartition,
     Graph,
     GraphParseError,
     _Record,
+    _trusted_graph,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -145,15 +146,20 @@ def random_graph(n: int, rng: SplitMix64, p: float = 0.5) -> Graph:
 def _code_graph(n: int, code: int) -> Graph:
     """The graph of an edge code: bit j is the j-th vertex pair in sorted
     order."""
-    pairs = _pairs(n)
     adj = [0] * n
+    _flip_pairs(adj, code, _pairs(n))
+    return _trusted_graph(n, tuple(adj))
+
+
+def _flip_pairs(adj: list[int], code: int,
+                pairs: tuple[tuple[int, int], ...]) -> None:
+    """Toggle in ``adj`` the edge of each bit j of code, pairs[j]."""
     while code:
         low = code & -code
         u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
         code ^= low
-    return Graph(n, tuple(adj))
 
 
 @lru_cache(maxsize=8)
@@ -173,10 +179,15 @@ def corpus_range(spec: CorpusSpec, start: int, stop: int) -> Iterator[Graph]:
     """Graphs start..stop-1 of an exhaustive or random corpus, built without
     the graphs before them: exhaustive graph i is edge code i, and random
     graph i starts i * n(n-1)/2 draws into the seed's SplitMix64 stream.
-    Both modes build each graph from its edge code."""
+    Exhaustive graph c is graph c - 1 with the pairs of the bits of
+    c ^ (c - 1) flipped, the first seeded from the range's own start."""
     if spec.mode == "exhaustive":
+        n, pairs = spec.n, _pairs(spec.n)
+        adj, flip = [0] * n, start
         for code in range(start, stop):
-            yield _code_graph(spec.n, code)
+            _flip_pairs(adj, flip, pairs)
+            yield _trusted_graph(n, tuple(adj))
+            flip = code ^ (code + 1)
         return
     rng = SplitMix64(spec.seed + start * spec.n * (spec.n - 1) // 2 * GAMMA)
     for _ in range(start, stop):
@@ -227,13 +238,9 @@ Tallies = dict[str, dict[str, int]]
 Chunk = tuple[CorpusSpec, int, Union[int, list[Graph]], tuple[str, ...], int]
 
 
-def _top_level(facts: GraphFacts, kmax: int) -> int:
-    """The highest level up to kmax that the size bound admits; every level
-    above it is SizeTooSmall."""
-    return min(kmax, facts.size_bound)
-
-
+@cache
 def _no_extendible_level(first: int, kmax: int) -> Outcome:
+    # built once per (first, kmax): _fold reads only the status
     return INAPPLICABLE, {
         "reason": f"not k-extendible for any k in {first}..{kmax}"}
 
@@ -313,15 +320,15 @@ def _bipartite_characterization(facts: GraphFacts, kmax: int) -> Outcome:
     k <= kmax admitted by the size hypothesis."""
     if not facts.connected:
         return INAPPLICABLE, {"reason": "not connected"}
-    bp = facts.bipartition
-    if not isinstance(bp, Bipartition):
+    if facts.sides is None:
         return INAPPLICABLE, {"reason": "not bipartite"}
+    bp = facts.bipartition
     if len(bp.x) != len(bp.y):
         return INAPPLICABLE, {"reason": "bipartition is unbalanced"}
     if not facts.perfect:
         return INAPPLICABLE, {"reason": "no perfect matching"}
     g = facts.g
-    top = _top_level(facts, kmax)
+    top = min(kmax, facts.size_bound)
     for k in range(1, top + 1):
         cert = facts.certificate(k)
         violator = hall_surplus_check(g, bp, k)
@@ -340,9 +347,9 @@ def _bipartite_characterization(facts: GraphFacts, kmax: int) -> Outcome:
 def _koenig_ore(facts: GraphFacts, kmax: int) -> Outcome:
     """KO: the matching number equals |X| minus the maximum deficiency over
     subsets of X, and the polynomial witness attains that maximum."""
-    bp = facts.bipartition
-    if not isinstance(bp, Bipartition):
+    if facts.sides is None:
         return INAPPLICABLE, {"reason": "not bipartite"}
+    bp = facts.bipartition
     g = facts.g
     oracle_value = brute_force_deficiency(g, bp)
     witness = koenig_ore_deficiency(g, bp)
@@ -523,11 +530,12 @@ def _fold(graphs: Iterable[Graph], first: int, properties: tuple[str, ...],
     graph at position j of ``graphs`` is corpus graph first + j.  A
     violated graph is echoed as graph6.  Returns the number of graphs."""
     processed = 0
+    checks = [(pid, PROPERTIES[pid], tallies[pid]) for pid in properties]
     for g in graphs:
         facts = GraphFacts(g)
-        for pid in properties:
-            status, detail = PROPERTIES[pid](facts, kmax)
-            tallies[pid][status] += 1
+        for pid, check, tally in checks:
+            status, detail = check(facts, kmax)
+            tally[status] += 1
             if status == VIOLATED:
                 violations.append({
                     "property": pid,

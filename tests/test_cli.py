@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kextend.cli as cli
 import kextend.verifier as verifier
@@ -132,6 +136,24 @@ class TestAnalyze:
                                  stdin=to_graph6(cycle_graph(4)) + "\n")
         assert (code, out) == (2, "")
         assert err == "kextend analyze: kmax must be nonnegative\n"
+
+    @pytest.mark.parametrize("kmax", ["512", "2000000"])
+    def test_kmax_above_every_level_exits_2_before_reading(
+            self, capsys, monkeypatch, kmax):
+        """No readable graph has a level above (1024 - 2) / 2 = 511, so a
+        larger kmax is refused before the input is read: the malformed
+        input here would otherwise be the error."""
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["analyze", "--kmax", kmax],
+                                 stdin="not graph6\n")
+        assert (code, out) == (2, "")
+        assert err == "kextend analyze: kmax must lie in 0..511\n"
+
+    def test_kmax_at_the_bound_is_accepted(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["analyze", "--kmax", "511"], stdin="A_\n")
+        assert code == 0
+        assert len(json.loads(out)["certificates"]) == 512
 
     def test_kmax_zero_gives_level_zero_only(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, ["analyze", "--kmax", "0"],
@@ -695,6 +717,55 @@ class TestOneReader:
             env=subprocess_env(KEXTEND_WORKERS="1"))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"kextend {argv[0]}: standard input is closed\n"
+
+
+# pieces of graph6 lines and edge lists, stray bytes, and valid documents
+# whose prefixes are taken; every graph they can spell is small
+FRAGMENTS = [b"A_", b"Bw", b"C~", b"Ch", b"Cl", b"D??", b"DQw", b"E?", b"~",
+             b"}", b"@", b"?", b"3", b"4\n", b"12", b"0 1", b"1 2", b"2 3",
+             b"5 5", b"-1", b"x", b"\n", b" ", b"\t", b"\r", b"\x00",
+             b"\xff", b"\xe9"]
+DOCUMENTS = [b"A_\nBw\nC~\n", b"DQw\nCl\n", b"4\n0 1\n1 2\n2 3\n",
+             b"6\n0 1\n2 3\n4 5\n"]
+FUZZ_COMMANDS = (["analyze"], ["analyze", "--format", "edges"],
+                 ["convert", "--from", "g6", "--to", "edges"],
+                 ["convert", "--from", "edges", "--to", "g6"],
+                 ["verify", "--input"], ["verify", "--no-strict", "--input"])
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    """Fragments and stray bytes, after a prefix of a valid document."""
+    document = draw(st.sampled_from(DOCUMENTS))
+    head = document[:draw(st.integers(0, len(document)))]
+    return head + b"".join(draw(st.lists(st.sampled_from(FRAGMENTS),
+                                         max_size=8)))
+
+
+class TestInputContractFuzz:
+    @given(data=fuzzed_inputs())
+    @settings(max_examples=300)
+    def test_every_reader_exits_0_or_2_with_one_line(self, tmp_path_factory,
+                                                     data):
+        """Whatever bytes come in, each reading command exits 0 or 2, and
+        exit 2 prints exactly one stderr line and no traceback."""
+        path = tmp_path_factory.mktemp("fuzz") / "input"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("KEXTEND_WORKERS", "1")
+            for argv in FUZZ_COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main([*argv, str(path)])
+                message = err.getvalue()
+                if code == 0:
+                    assert message == "", (argv, data)
+                else:
+                    assert code == 2, (argv, data)
+                    assert message.startswith(f"kextend {argv[0]}: ")
+                    assert message.count("\n") == 1, (argv, data)
+                    assert message.endswith("\n")
+                    assert "Traceback" not in message
 
 
 class TestClosedStdout:

@@ -41,8 +41,9 @@ from kextend.extendibility import (
     SIZE_TOO_SMALL,
     ExtendibilityCertificate,
     GraphFacts,
+    _certificate,
 )
-from kextend.matching import enumerate_matchings
+from kextend.matching import _perfect_without_pair, enumerate_matchings
 from kextend.oracles import brute_force_is_k_extendible
 from kextend.rng import SplitMix64
 from kextend.verifier import CorpusSpec, run_corpus
@@ -506,6 +507,49 @@ class TestPeeledCertificate:
         facts = GraphFacts(c6)
         assert facts.peeled_certificate(0, 1, 0) == \
             ExtendibilityCertificate(True, 0)
+
+
+class TestLeastBlockedWitness:
+    """The least blocked k-matching (e1, ..., ek) of G, in the walk's order
+    (edges by lower end, then upper end), peels to the least blocked
+    (k - 1)-matching (e2, ..., ek) of G - V(e1): a blocked W' before it
+    would make W' + e1, sorted, a blocked matching of G before the
+    witness.  When G - V(e1) has no perfect matching, every matching
+    there is blocked, and (e2, ..., ek) is its least (k - 1)-matching."""
+
+    def test_witness_peels_to_the_peeled_walks_witness(self):
+        corpus = list(exhaustive_graphs(6))
+        rng = SplitMix64(20)
+        corpus += [seeded_random_graph(n, rng, p) for n in (8, 10, 12)
+                   for p in (0.5, 0.7, 0.85) for _ in range(30)]
+        routes = Counter()
+        for g in corpus:
+            facts = GraphFacts(g)
+            full = (1 << g.n) - 1
+            for k in range(2, facts.size_bound + 1):
+                cert = facts.certificate(k)
+                if cert.reason != BLOCKED_MATCHING:
+                    continue
+                (u, v), *rest = cert.witness.edges
+                # the walk starts as peeled_certificate starts it, but on
+                # a disconnected G - u - v too: the identity needs only
+                # a perfect matching there
+                base = _perfect_without_pair(g.adj, g.n, full,
+                                             facts.maximum, u, v)
+                if base is None:
+                    peeled, relabel = peel(g, (u, v))
+                    back = {new: old for old, new in relabel.items()}
+                    least = next(enumerate_matchings(peeled, k - 1)).edges
+                    assert [(back[a], back[b]) for a, b in least] == rest, (
+                        g, k)
+                else:
+                    sub = _certificate(g, k - 1, base,
+                                       full & ~(1 << u | 1 << v))
+                    assert sub.reason == BLOCKED_MATCHING, (g, k)
+                    assert list(sub.witness.edges) == rest, (g, k)
+                routes[base is None, k] += 1
+        assert {route for route, _ in routes} == {True, False}
+        assert max(k for _, k in routes) >= 3
 
 
 class TestPaperProperties:

@@ -26,7 +26,7 @@ from kextend import (
     to_edge_list,
     to_graph6,
 )
-from kextend.graphs import bits, check_bipartition
+from kextend.graphs import _two_colouring, bits, check_bipartition
 from kextend.rng import SplitMix64
 
 
@@ -296,3 +296,24 @@ class TestBipartition:
             assert len(vs) % 2 == 1
             for i, v in enumerate(vs):
                 assert g.has_edge(v, vs[(i + 1) % len(vs)])
+
+    def test_two_colouring_agrees_with_bipartition(self):
+        """The mask two-colouring gives bipartition's sides, or None exactly
+        where bipartition gives an odd cycle, on every graph with n <= 6
+        and on sparse SplitMix64 graphs at n = 10..20."""
+        corpus = [g for n in range(7) for g in exhaustive_graphs(n)]
+        rng = SplitMix64(26)
+        for n in range(10, 21):
+            for p in (0.05, 0.1, 0.15, 0.2):
+                corpus += [seeded_random_graph(n, rng, p) for _ in range(25)]
+        outcomes = set()
+        for g in corpus:
+            sides, bp = _two_colouring(g.adj), bipartition(g)
+            if sides is None:
+                assert isinstance(bp, OddCycle), g
+            else:
+                assert bp == Bipartition(tuple(bits(sides[0])),
+                                         tuple(bits(sides[1]))), g
+            outcomes.add((g.n > 6, sides is None))
+        assert outcomes == {(False, False), (False, True), (True, False),
+                            (True, True)}

@@ -2,23 +2,28 @@ from __future__ import annotations
 
 import gc
 import json
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
 import kextend.cli as cli
 import kextend.extendibility as extendibility
+import kextend.graphs as graphs
+import kextend.matching as matching
 import kextend.verifier as verifier
 from conftest import exhaustive_graphs, seeded_random_graph
 from kextend import (
     Bipartition,
     CorpusSpec,
+    Graph,
     CutWitness,
     DeficiencyWitness,
     GraphParseError,
     HallViolator,
     OddCycle,
     bipartition,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     enumerate_matchings,
@@ -257,6 +262,17 @@ class TestGraphFacts:
             assert facts.extendible_levels(3) == levels
             assert facts.extendible_levels(3) is facts.extendible_levels(3)
             assert facts.extendible_levels(1) == levels[:1]
+
+    def test_extendible_levels_ask_no_level_below_the_preconditions(self):
+        """A disconnected graph (two 4-cycles) and a connected one with no
+        perfect matching (K(2, 4)) fail every level, so extendible_levels
+        returns () without deciding a level's certificate."""
+        two_c4 = from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                (4, 5), (5, 6), (6, 7), (7, 4)])
+        for g in (two_c4, complete_bipartite(2, 4)):
+            facts = GraphFacts(g)
+            assert facts.extendible_levels(3) == ()
+            assert facts._certificates == {}
 
 
 def _recorded(monkeypatch, name):
@@ -515,6 +531,37 @@ class TestCorpusRange:
                             (size - 1, size), (size, size), (0, 1)}:
             assert list(corpus_range(spec, start, stop)) == whole[start:stop]
 
+    def test_exhaustive_graphs_equal_their_validated_codes(self):
+        """Each graph of an exhaustive range, built from the one before it
+        without Graph's checks, equals Graph(n, adj) of its own code: every
+        range of length at most 3 at n <= 5, and 30 ranges drawn at each
+        of n = 6 and 7, each seeded from its own start."""
+
+        def validated(n, code):
+            adj = [0] * n
+            for j, (u, v) in enumerate(combinations(range(n), 2)):
+                if code >> j & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            return Graph(n, tuple(adj))
+
+        ranges = [(n, start, min(start + length, 1 << n * (n - 1) // 2))
+                  for n in range(6) for start in range(1 << n * (n - 1) // 2)
+                  for length in (1, 3)]
+        rng = SplitMix64(2026)
+        for n in (6, 7):
+            size = 1 << n * (n - 1) // 2
+            for _ in range(30):
+                start = rng.next_below(size)
+                ranges.append((n, start,
+                               min(size, start + 1 + rng.next_below(300))))
+        for n, start, stop in ranges:
+            spec = CorpusSpec(mode="exhaustive", n=n)
+            got = list(corpus_range(spec, start, stop))
+            assert got == [validated(n, code) for code in range(start, stop)]
+            for g in got:
+                assert Graph(g.n, g.adj) == g and type(g) is Graph
+
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
     def test_random_range_jumps_into_the_stream(self, seed, p):
@@ -767,3 +814,50 @@ class TestNoCyclicGarbage:
             if enabled:
                 gc.enable()
         assert len(records) == 50
+
+
+class TestPerGraphFloor:
+    def test_clean_run_builds_no_odd_cycle(self, monkeypatch):
+        """T32 and KO test bipartiteness on masks, so a clean verify run
+        over graphs with odd cycles (every graph on 5 vertices) never
+        searches for an OddCycle witness."""
+        searched = []
+        monkeypatch.setattr(graphs, "_odd_cycle", searched.append)
+        report = run_corpus(CorpusSpec(mode="exhaustive", n=5), PROPERTY_IDS,
+                            workers=1)
+        assert report.violations == () and searched == []
+        assert report.properties["KO"][INAPPLICABLE] > 0
+
+    def test_odd_order_builds_a_maximum_matching_only_for_ko(
+            self, monkeypatch):
+        """A graph on an odd number of vertices has no perfect matching, so
+        of the properties only KO, which reads the matching number, builds
+        a maximum matching there."""
+        calls = _recorded(monkeypatch, "_mask_maximum_matching")
+        spec = CorpusSpec(mode="exhaustive", n=5)
+        run_corpus(spec, [p for p in PROPERTY_IDS if p != "KO"], workers=1)
+        assert calls == []
+        run_corpus(spec, ["KO"], workers=1)
+        assert len(calls) == sum(isinstance(bipartition(g), Bipartition)
+                                 for g in generate_corpus(spec))
+
+    def test_no_length_5_search_below_6_vertices(self, monkeypatch):
+        """A path a-x=y-x2=y2-b has 6 distinct vertices, so no leaf or step
+        seeks one on a corpus with n <= 7, where at most 4 vertices are
+        left; the count is not 0 on 8 vertices."""
+        calls = []
+        path = matching._path_of_length_5
+
+        def counted(*args):
+            calls.append(args)
+            return path(*args)
+
+        monkeypatch.setattr(matching, "_path_of_length_5", counted)
+        for n in (6, 7):
+            run_corpus(CorpusSpec(mode="random", n=n, count=300, seed=1,
+                                  edge_probability=0.7), PROPERTY_IDS,
+                       workers=1)
+        assert calls == []
+        run_corpus(CorpusSpec(mode="random", n=8, count=30, seed=1,
+                              edge_probability=0.7), PROPERTY_IDS, workers=1)
+        assert calls
