@@ -2,7 +2,7 @@
 """Run a table of hand-made mutants against the tests meant to kill them.
 
 Usage:
-    python scripts/mutants.py [--only NAME ...]
+    python scripts/mutants.py
 
 Each entry of MUTANTS names a file, an exact old text that occurs in it
 once, the text that replaces it, and the pytest node ids to run.  Each
@@ -20,7 +20,6 @@ tests/test_mutants.py holds to the tree.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -58,7 +57,8 @@ MUTANTS = (
     Mutant("two-colouring-without-clash-test", "src/kextend/graphs.py",
            "            if reached & own:\n                return None\n",
            "",
-           ("tests/test_graphs.py::TestBipartition",)),
+           ("tests/test_graphs.py::TestBipartition::"
+            "test_two_colouring_agrees_with_bipartition",)),
     Mutant("levels-shortcut-tests-connected-alone",
            "src/kextend/extendibility.py",
            "if top < 1 or not (self.connected and self.perfect):",
@@ -141,23 +141,14 @@ def run_mutant(m: Mutant) -> tuple[bool, float]:
     return proc.returncode == 1, seconds
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME",
-                        help="run only these entries")
-    args = parser.parse_args(argv)
+def main() -> int:
     problems = table_problems()
     for line in problems:
         print(f"mutants: {line}", file=sys.stderr)
     if problems:
         return 1
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"mutants: unknown entries {sorted(unknown)}", file=sys.stderr)
-        return 2
     failed = False
-    for m in chosen:
+    for m in MUTANTS:
         killed, seconds = run_mutant(m)
         verdict = "killed" if killed else "survived"
         if m.equivalent:

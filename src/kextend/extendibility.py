@@ -52,8 +52,8 @@ from .graphs import (
     VertexSet,
     _Record,
     _component,
+    _sides_record,
     _two_colouring,
-    bipartition,
     check_bipartition,
     delete_vertices,
     is_connected,
@@ -136,7 +136,8 @@ class GraphFacts:
     threshold test is_k_connected and ``connectivity`` is
     vertex_connectivity, the full value and witness, read only where the
     witness is reported.  One maximum matching feeds every matching fact.
-    ``sides`` is _two_colouring's side masks: bipartiteness without a record.
+    ``sides`` is _two_colouring's side masks: bipartiteness without a record,
+    which ``bipartition`` then turns into one, so no graph is coloured twice.
     ``size_bound`` is (n-2)/2 rounded down, the highest level that the size
     condition n >= 2k + 2 admits."""
 
@@ -172,7 +173,7 @@ class GraphFacts:
 
     @_once
     def bipartition(self) -> Bipartition | OddCycle:
-        return bipartition(self.g)
+        return _sides_record(self.g, self.sides)
 
     @_once
     def connectivity(self) -> tuple[int, Optional[CutWitness]]:

@@ -452,7 +452,12 @@ def _two_colouring(adj: tuple[int, ...]) -> Optional[tuple[int, int]]:
 
 def bipartition(g: Graph) -> Bipartition | OddCycle:
     """Two-color the graph, or give an OddCycle witness."""
-    sides = _two_colouring(g.adj)
+    return _sides_record(g, _two_colouring(g.adj))
+
+
+def _sides_record(g: Graph, sides: Optional[tuple[int, int]]
+                  ) -> Bipartition | OddCycle:
+    """bipartition's record of g from its _two_colouring result ``sides``."""
     if sides is None:
         return OddCycle(_odd_cycle(g))
     return Bipartition(tuple(bits(sides[0])), tuple(bits(sides[1])))

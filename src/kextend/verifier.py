@@ -42,7 +42,8 @@ import sys
 import time
 from functools import cache, lru_cache
 from itertools import chain, combinations, islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Union
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from . import __version__
 from .extendibility import GraphFacts, hall_surplus_check
@@ -230,7 +231,7 @@ def read_graphs(source: str, fmt: str = "g6",
 
 
 # (status, detail) of one property on one graph
-Outcome = tuple[str, Optional[dict[str, Any]]]
+Outcome = tuple[str, Optional[Mapping[str, Any]]]
 # property -> status -> count
 Tallies = dict[str, dict[str, int]]
 # (corpus, index of its first graph, its graphs or the index after its
@@ -240,9 +241,9 @@ Chunk = tuple[CorpusSpec, int, Union[int, list[Graph]], tuple[str, ...], int]
 
 @cache
 def _no_extendible_level(first: int, kmax: int) -> Outcome:
-    # built once per (first, kmax): _fold reads only the status
-    return INAPPLICABLE, {
-        "reason": f"not k-extendible for any k in {first}..{kmax}"}
+    # built once per (first, kmax) and shared, so read-only
+    return INAPPLICABLE, MappingProxyType({
+        "reason": f"not k-extendible for any k in {first}..{kmax}"})
 
 
 def _monotonicity(facts: GraphFacts, kmax: int) -> Outcome:

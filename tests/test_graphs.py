@@ -298,9 +298,11 @@ class TestBipartition:
                 assert g.has_edge(v, vs[(i + 1) % len(vs)])
 
     def test_two_colouring_agrees_with_bipartition(self):
-        """The mask two-colouring gives bipartition's sides, or None exactly
-        where bipartition gives an odd cycle, on every graph with n <= 6
-        and on sparse SplitMix64 graphs at n = 10..20."""
+        """The mask two-colouring and bipartition agree with a plain
+        breadth-first 2-colouring written here (least vertex of each
+        component in X) on every graph with n <= 6 and on sparse
+        SplitMix64 graphs at n = 10..20; where it finds no colouring, both
+        report none and bipartition's odd cycle is valid."""
         corpus = [g for n in range(7) for g in exhaustive_graphs(n)]
         rng = SplitMix64(26)
         for n in range(10, 21):
@@ -308,12 +310,29 @@ class TestBipartition:
                 corpus += [seeded_random_graph(n, rng, p) for _ in range(25)]
         outcomes = set()
         for g in corpus:
+            colour = [None] * g.n
+            for root in range(g.n):
+                if colour[root] is None:
+                    colour[root], queue = 0, [root]
+                    for v in queue:
+                        for w in bits(g.adj[v]):
+                            if colour[w] is None:
+                                colour[w] = 1 - colour[v]
+                                queue.append(w)
+            odd = any(colour[u] == colour[v] for u, v in g.edges())
             sides, bp = _two_colouring(g.adj), bipartition(g)
-            if sides is None:
-                assert isinstance(bp, OddCycle), g
+            if odd:
+                assert sides is None, g
+                vs = bp.vertices
+                assert len(vs) % 2 == 1 and len(set(vs)) == len(vs), g
+                for i, v in enumerate(vs):
+                    assert g.has_edge(v, vs[(i + 1) % len(vs)]), g
             else:
-                assert bp == Bipartition(tuple(bits(sides[0])),
-                                         tuple(bits(sides[1]))), g
-            outcomes.add((g.n > 6, sides is None))
+                x = tuple(v for v in range(g.n) if colour[v] == 0)
+                y = tuple(v for v in range(g.n) if colour[v] == 1)
+                assert sides == (sum(1 << v for v in x),
+                                 sum(1 << v for v in y)), g
+                assert bp == Bipartition(x, y), g
+            outcomes.add((g.n > 6, odd))
         assert outcomes == {(False, False), (False, True), (True, False),
                             (True, True)}
