@@ -59,11 +59,23 @@ MUTANTS = (
            "",
            ("tests/test_graphs.py::TestBipartition::"
             "test_two_colouring_agrees_with_bipartition",)),
-    Mutant("levels-shortcut-tests-connected-alone",
-           "src/kextend/extendibility.py",
-           "if top < 1 or not (self.connected and self.perfect):",
-           "if top < 1 or not self.connected:",
+    Mutant("unmet-ignores-perfect-matching", "src/kextend/extendibility.py",
+           "        return None if self.perfect else NO_PERFECT_MATCHING\n",
+           "        return None\n",
            ("tests/test_verifier.py::TestGraphFacts",)),
+    Mutant("ext-number-shortcut-tests-connected-alone",
+           "src/kextend/extendibility.py",
+           "        if self.unmet:\n            return None\n",
+           "        if not self.connected:\n            return None\n",
+           ("tests/test_verifier.py::TestUnmetPreconditions",)),
+    Mutant("p22-asks-level-1-without-unmet", "src/kextend/verifier.py",
+           "if facts.unmet or not facts.certificate(1).verdict:",
+           "if not facts.certificate(1).verdict:",
+           ("tests/test_verifier.py::TestUnmetPreconditions",)),
+    Mutant("peeled-size-check-strict", "src/kextend/extendibility.py",
+           "        if k >= self.size_bound:\n",
+           "        if k > self.size_bound:\n",
+           ("tests/test_extendibility.py::TestPeeledCertificate",)),
     Mutant("perfect-without-odd-order-test", "src/kextend/extendibility.py",
            "return self.g.n % 2 == 0 and 2 * self.matching_number",
            "return 2 * self.matching_number",
@@ -97,6 +109,50 @@ MUTANTS = (
            "            pu = prefix | 1 << u\n",
            "            pu = 1 << u\n",
            ("tests/test_extendibility.py::TestLeastBlockedWitness",)),
+    Mutant("chen-bound-plus-one", "tests/test_extendibility.py",
+           "odd[full & ~s] > s.bit_count() - 2 * k\n",
+           "odd[full & ~s] > s.bit_count() - 2 * k + 1\n",
+           ("tests/test_extendibility.py::TestChenCondition",),
+           equivalent="with a perfect matching n is even, so c_o(G - S) "
+                      "has the parity of |S| and never equals |S| - 2k + 1"),
+    Mutant("chen-bound-plus-two", "tests/test_extendibility.py",
+           "odd[full & ~s] > s.bit_count() - 2 * k\n",
+           "odd[full & ~s] > s.bit_count() - 2 * k + 2\n",
+           ("tests/test_extendibility.py::TestChenCondition",)),
+    Mutant("chen-counts-every-component", "tests/test_extendibility.py",
+           "odd[mask] = (comp.bit_count() & 1) + odd[mask & ~comp]",
+           "odd[mask] = 1 + odd[mask & ~comp]",
+           ("tests/test_extendibility.py::TestChenCondition",)),
+    Mutant("chen-k-minus-one-edges", "tests/test_extendibility.py",
+           "_max_matching_size(adj, s) >= k\n",
+           "_max_matching_size(adj, s) >= k - 1\n",
+           ("tests/test_extendibility.py::TestChenCondition",)),
+    Mutant("hall-scan-one-size-short", "src/kextend/extendibility.py",
+           "for size in range(1, len(bp.x) - k + 1):",
+           "for size in range(1, len(bp.x) - k):",
+           ("tests/test_extendibility.py::TestHallSurplus",
+            "tests/test_extendibility.py::TestBipartiteChecker")),
+    Mutant("even-test-k-minus-one-sources", "src/kextend/connectivity.py",
+           "_pair_cut(g, s, t, limit=k) is None for s in range(k)",
+           "_pair_cut(g, s, t, limit=k) is None for s in range(k - 1)",
+           ("tests/test_connectivity.py::TestIsKConnected",)),
+    Mutant("connectivity-limit-without-plus-one",
+           "src/kextend/connectivity.py",
+           "limit = min(m.bit_count() for m in g.adj) + 1\n",
+           "limit = min(m.bit_count() for m in g.adj)\n",
+           ("tests/test_connectivity.py::TestCanonicalWitness",)),
+    Mutant("graph6-identity-table", "src/kextend/graphs.py",
+           'int(f"{group:06b}"[::-1], 2) for group in range(64)',
+           "group for group in range(64)",
+           ("tests/test_graphs.py::TestGraph6::"
+            "test_bit_order_matches_the_format_definition",)),
+    Mutant("ko-bfs-without-reach-x-mask", "src/kextend/matching.py",
+           "        frontier = nx & ~reach_x\n",
+           "        frontier = nx\n",
+           ("tests/test_matching.py::TestKoenigOreDeficiency",),
+           equivalent="the partner of a newly reached Y vertex is matched "
+                      "and no earlier Y vertex's partner, so it is never "
+                      "in reach_x already"),
 )
 
 

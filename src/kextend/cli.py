@@ -134,13 +134,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    graphs = list(read_graphs(args.input, args.src))
-    if args.dst == "g6":
-        for g in graphs:
+    for i, g in enumerate(read_graphs(args.input, args.src)):
+        if args.dst == "g6":
             print(to_graph6(g))
-    elif graphs:
-        # edge-list documents, blank-line separated when streaming
-        print("\n\n".join(to_edge_list(g) for g in graphs))
+        else:  # edge-list documents, one blank line apart
+            print("\n" * (i > 0) + to_edge_list(g))
     return 0
 
 

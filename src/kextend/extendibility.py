@@ -25,11 +25,13 @@ and evaluating a graph leaves nothing for the cyclic collector.  The
 exhibited extensions come from extends_to_perfect, computed when
 ``exhibit`` is first read.
 
-GraphFacts is the one entry to that engine: it answers the preconditions
-from the facts it holds and starts every level's stack, and that of each
+GraphFacts is the one entry to that engine, through certificate and
+peeled_certificate: it starts every level's stack, and that of each
 G - u - v in G's labels, from one maximum matching.  The one-shots each
-build one.  extendible_levels settles connectivity and the perfect
-matching, which no level changes, before it asks any level.
+build one.  Connectivity and the perfect matching do not depend on the
+level, so GraphFacts decides them once, as ``unmet``; every level of a
+graph that fails them carries that reason, and extendible_levels and
+extendibility_number ask no level of it.
 
 For balanced bipartite graphs the same verdict follows from a surplus
 condition on one side: |N(A)| >= |A| + k for every nonempty A within X of
@@ -139,7 +141,8 @@ class GraphFacts:
     ``sides`` is _two_colouring's side masks: bipartiteness without a record,
     which ``bipartition`` then turns into one, so no graph is coloured twice.
     ``size_bound`` is (n-2)/2 rounded down, the highest level that the size
-    condition n >= 2k + 2 admits."""
+    condition n >= 2k + 2 admits; ``unmet`` settles the two conditions that
+    no level changes, and a graph that fails them fails every level."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -186,25 +189,23 @@ class GraphFacts:
             answer = self._k_connected[k] = is_k_connected(self.g, k)
         return answer
 
-    def _unmet_precondition(self, k: int
-                            ) -> Optional[ExtendibilityCertificate]:
-        """The no-certificate for the first failed condition among size,
-        connectivity and perfect matching, in that order, else None."""
-        if k > self.size_bound:
-            return ExtendibilityCertificate(False, k, reason=SIZE_TOO_SMALL)
+    @_once
+    def unmet(self) -> Optional[str]:
+        """Disconnected, else NoPerfectMatching, else None."""
         if not self.connected:
-            return ExtendibilityCertificate(False, k, reason=DISCONNECTED)
-        if not self.perfect:
-            return ExtendibilityCertificate(False, k,
-                                            reason=NO_PERFECT_MATCHING)
-        return None
+            return DISCONNECTED
+        return None if self.perfect else NO_PERFECT_MATCHING
 
     def certificate(self, k: int) -> ExtendibilityCertificate:
-        """Definitional certificate at level k >= 0, memoized per level."""
+        """Definitional certificate at level k >= 0, memoized per level:
+        SizeTooSmall above size_bound, else ``unmet``'s reason, else the
+        walk's verdict."""
         cert = self._certificates.get(k)
         if cert is None:
-            cert = self._unmet_precondition(k)
-            if cert is None:
+            reason = SIZE_TOO_SMALL if k > self.size_bound else self.unmet
+            if reason:
+                cert = ExtendibilityCertificate(False, k, reason=reason)
+            else:
                 cert = _certificate(self.g, k, self.maximum,
                                     (1 << self.g.n) - 1)
             self._certificates[k] = cert
@@ -213,13 +214,11 @@ class GraphFacts:
     def extendible_levels(self, kmax: int) -> tuple[int, ...]:
         """The levels k in 1..kmax at which the graph is k-extendible,
         ascending, memoized per kmax.  Each level is decided outright, so
-        monotonicity is never assumed; a graph that is disconnected or has
-        no perfect matching fails every level, so none is asked."""
+        monotonicity is never assumed; a graph that fails ``unmet`` fails
+        every level, so none is asked."""
         levels = self._levels.get(kmax)
         if levels is None:
-            top = min(kmax, self.size_bound)
-            if top < 1 or not (self.connected and self.perfect):
-                top = 0
+            top = 0 if self.unmet else min(kmax, self.size_bound)
             levels = self._levels[kmax] = tuple(
                 k for k in range(1, top + 1) if self.certificate(k).verdict)
         return levels
@@ -227,9 +226,12 @@ class GraphFacts:
     def peeled_certificate(self, u: int, v: int, k: int
                            ) -> ExtendibilityCertificate:
         """Certificate at level k of G - u - v in G's labels, for an edge uv
-        of a graph with a perfect matching and k < size_bound, without
-        exhibits.  Its memo is its own, since certificate(k + 1)'s holds each
-        set it tests plus u and v: reading it would make P23 a tautology."""
+        of a graph with a perfect matching, without exhibits, its conditions
+        tested in the definition's order.  Its memo is its own, since
+        certificate(k + 1)'s holds each set it tests plus u and v: reading
+        it would make P23 a tautology."""
+        if k >= self.size_bound:
+            return ExtendibilityCertificate(False, k, reason=SIZE_TOO_SMALL)
         g, full = self.g, (1 << self.g.n) - 1
         rest = full & ~(1 << u | 1 << v)
         if _component(g.adj, rest) != rest:
@@ -250,7 +252,10 @@ class GraphFacts:
     @_once
     def extendibility_number(self) -> Optional[int]:
         """Largest k for which the graph is k-extendible, or None when it is
-        not even 0-extendible, read off ``profile``."""
+        not even 0-extendible, read off ``profile``, which a graph that
+        fails ``unmet`` does not build."""
+        if self.unmet:
+            return None
         passing = [k for k, cert in enumerate(self.profile) if cert.verdict]
         return max(passing) if passing else None
 

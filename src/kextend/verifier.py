@@ -265,7 +265,7 @@ def _monotonicity(facts: GraphFacts, kmax: int) -> Outcome:
 
 def _one_ext_two_conn(facts: GraphFacts, kmax: int) -> Outcome:
     """P22: a 1-extendible graph must be 2-connected."""
-    if not facts.certificate(1).verdict:
+    if facts.unmet or not facts.certificate(1).verdict:
         return INAPPLICABLE, {"reason": "not 1-extendible"}
     if facts.is_k_connected(2):
         return HOLDS, None
@@ -316,23 +316,19 @@ def _connectivity_bound(facts: GraphFacts, kmax: int) -> Outcome:
 
 
 def _bipartite_characterization(facts: GraphFacts, kmax: int) -> Outcome:
-    """T32: on connected balanced bipartite graphs with a perfect matching,
-    the definitional verdict equals the Hall-surplus verdict at every level
-    k <= kmax admitted by the size hypothesis."""
+    """T32: on connected bipartite graphs with a perfect matching, which are
+    balanced, the definitional verdict equals the Hall-surplus verdict at
+    every level k <= kmax admitted by the size hypothesis."""
     if not facts.connected:
         return INAPPLICABLE, {"reason": "not connected"}
     if facts.sides is None:
         return INAPPLICABLE, {"reason": "not bipartite"}
-    bp = facts.bipartition
-    if len(bp.x) != len(bp.y):
-        return INAPPLICABLE, {"reason": "bipartition is unbalanced"}
     if not facts.perfect:
         return INAPPLICABLE, {"reason": "no perfect matching"}
-    g = facts.g
     top = min(kmax, facts.size_bound)
     for k in range(1, top + 1):
         cert = facts.certificate(k)
-        violator = hall_surplus_check(g, bp, k)
+        violator = hall_surplus_check(facts.g, facts.bipartition, k)
         if cert.verdict != (violator is None):
             return VIOLATED, {
                 "k": k,

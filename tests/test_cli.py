@@ -621,6 +621,19 @@ class TestConvert:
                                  ["convert", "--from", "g6", "--to", "edges"])
         assert (code, out, err) == (0, "", "")
 
+    @pytest.mark.parametrize("dst, printed", [
+        ("g6", "Cl\nCh\n"),
+        ("edges", "4\n0 1\n0 3\n1 2\n2 3\n\n4\n0 1\n1 2\n2 3\n")])
+    def test_prints_each_graph_before_a_malformed_line(
+            self, capsys, monkeypatch, dst, printed):
+        """Each graph is printed as it is read, so the graphs before a bad
+        line are out when the run exits 2, as with analyze."""
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["convert", "--from", "g6", "--to", dst],
+            stdin="Cl\nCh\nA\x07\n")
+        assert (code, out) == (2, printed)
+        assert err == "kextend convert: -:3: body byte 7 outside 63..126\n"
+
     def test_graph_beyond_graph6_exits_2_with_one_line(self, capsys,
                                                         monkeypatch):
         code, out, err = run_cli(

@@ -44,7 +44,7 @@ from kextend.extendibility import (
     _certificate,
 )
 from kextend.matching import _perfect_without_pair, enumerate_matchings
-from kextend.oracles import brute_force_is_k_extendible
+from kextend.oracles import _max_matching_size, brute_force_is_k_extendible
 from kextend.rng import SplitMix64
 from kextend.verifier import CorpusSpec, run_corpus
 
@@ -289,6 +289,62 @@ class TestBruteForceOracle:
             False, NO_PERFECT_MATCHING, None)
 
 
+def _odd_components(adj, n):
+    """c_o(G[mask]) for every mask, by mask search: the component of the
+    least vertex, plus the odd components of the rest."""
+    odd = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        comp = stack = mask & -mask
+        while stack:
+            low = stack & -stack
+            stack ^= low
+            new = adj[low.bit_length() - 1] & mask & ~comp
+            comp |= new
+            stack |= new
+        odd[mask] = (comp.bit_count() & 1) + odd[mask & ~comp]
+    return odd
+
+
+def _chen_verdicts(g):
+    """Chen's verdicts at levels 1..(n - 2)/2: a connected G with a perfect
+    matching is k-extendible iff no S with k independent edges in G[S] has
+    c_o(G - S) > |S| - 2k; every level fails otherwise.  Shares no code
+    with the engine: nu(G[S]) is the enumerating oracle's, and odd
+    components come from a mask search."""
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    top = (n - 2) // 2
+    if top < 1:
+        return []
+    if not is_connected(g) or 2 * _max_matching_size(adj, full) != n:
+        return [False] * top
+    odd = _odd_components(adj, n)
+    return [not any(odd[full & ~s] > s.bit_count() - 2 * k
+                    and _max_matching_size(adj, s) >= k
+                    for s in range(1 << n))
+            for k in range(1, top + 1)]
+
+
+class TestChenCondition:
+    """Chen's Tutte-type condition (C. Chen 1988, as cited in Plummer's
+    1994 survey) is a second route that enumerates no k-matchings, so it
+    can catch a fault in reducing a level to the complements of its
+    matchings, which the brute-force oracle shares."""
+
+    def test_agrees_with_the_engine(self):
+        corpus = [g for n in range(7) for g in exhaustive_graphs(n)]
+        rng = SplitMix64(1988)
+        corpus += [seeded_random_graph(n, rng, p) for n in (8, 10)
+                   for p in (0.5, 0.8) for _ in range(40)]
+        pairs = Counter()
+        for g in corpus:
+            facts = GraphFacts(g)
+            for k, verdict in enumerate(_chen_verdicts(g), start=1):
+                assert facts.certificate(k).verdict == verdict, (g, k)
+                pairs[verdict] += 1
+        assert pairs[True] and pairs[False]
+
+
 class TestExtendibilityNumber:
     def test_named_instances(self, c4, p4, k33, k44):
         assert extendibility_number(c4) == 1
@@ -491,7 +547,7 @@ class TestPeeledCertificate:
             facts = GraphFacts(g)
             if not facts.perfect:
                 continue
-            for k in range(1, facts.size_bound):
+            for k in range(facts.size_bound + 2):
                 for u, v in g.edges():
                     cert = facts.peeled_certificate(u, v, k)
                     assert (cert.verdict, cert.reason, cert.witness) == \
@@ -500,8 +556,8 @@ class TestPeeledCertificate:
                     reasons[cert.reason] += 1
             # the peeled walk reads no level of G's own certificates
             assert facts._certificates == {}
-        assert set(reasons) == {None, DISCONNECTED, NO_PERFECT_MATCHING,
-                                BLOCKED_MATCHING}
+        assert set(reasons) == {None, SIZE_TOO_SMALL, DISCONNECTED,
+                                NO_PERFECT_MATCHING, BLOCKED_MATCHING}
 
     def test_level_zero_is_a_bare_yes(self, c6):
         facts = GraphFacts(c6)

@@ -187,7 +187,9 @@ class TestPropertyChecks:
     def test_extendibility_profile_reads_each_level_once(self, monkeypatch,
                                                          k33, c8, p4):
         """MONO-EXT decides every level 0..size_bound outright and asks
-        GraphFacts.certificate for each of them once."""
+        GraphFacts.certificate for each of them once; it asks none of a
+        graph that fails ``unmet`` (P3 has no perfect matching, two K2s
+        are disconnected)."""
         asked = []
         certificate = GraphFacts.certificate
 
@@ -196,11 +198,13 @@ class TestPropertyChecks:
             return certificate(facts, k)
 
         monkeypatch.setattr(GraphFacts, "certificate", counted)
-        for g in (k33, c8, p4, path_graph(3), complete_graph(8)):
+        for g in (k33, c8, p4, path_graph(3), complete_graph(8),
+                  from_edges(4, [(0, 1), (2, 3)])):
             asked.clear()
             facts = GraphFacts(g)
             PROPERTIES["MONO-EXT"](facts, 1)
-            assert asked == list(range(facts.size_bound + 1)), g
+            levels = [] if facts.unmet else list(range(facts.size_bound + 1))
+            assert asked == levels, g
 
     def test_extendibility_profile_violation_payload(self, monkeypatch):
         """A level below the extendibility number that fails is reported
@@ -273,6 +277,44 @@ class TestGraphFacts:
             facts = GraphFacts(g)
             assert facts.extendible_levels(3) == ()
             assert facts._certificates == {}
+
+
+class TestUnmetPreconditions:
+    def test_no_level_is_asked_of_a_graph_that_fails_unmet(self,
+                                                          monkeypatch):
+        """Every property over every graph on 4 and on 5 vertices, in
+        process: no GraphFacts.certificate ask comes from a graph whose
+        ``unmet`` is set, and its extendibility number is None without
+        ``profile``.  Every graph on 5 vertices fails ``unmet``; some on
+        4 do not, and are asked."""
+        built, asked = [], []
+        certificate = GraphFacts.certificate
+
+        def recorded(facts, k):
+            asked.append(facts)
+            return certificate(facts, k)
+
+        def facts_of(g):
+            built.append(GraphFacts(g))
+            return built[-1]
+
+        monkeypatch.setattr(GraphFacts, "certificate", recorded)
+        monkeypatch.setattr(verifier, "GraphFacts", facts_of)
+        for n in (4, 5):
+            report = run_corpus(CorpusSpec(mode="exhaustive", n=n),
+                                PROPERTY_IDS, kmax=3, workers=1)
+            assert report.graphs_processed == 1 << n * (n - 1) // 2
+        assert len(built) == 64 + 1024
+        assert asked and not any(facts.unmet for facts in asked)
+        for facts in built:
+            g = facts.g
+            assert facts.unmet == (
+                "Disconnected" if not is_connected(g)
+                else None if has_perfect_matching(g)
+                else "NoPerfectMatching"), g
+            if facts.unmet:
+                assert facts.extendibility_number is None
+                assert "profile" not in vars(facts), g
 
 
 def _recorded(monkeypatch, name):
